@@ -58,9 +58,18 @@ Dur FramePacer::end_frame(Time now) {
   return frame_end - now;
 }
 
+void FramePacer::carry_late_wake(Dur late) {
+  if (policy_ == PacingPolicy::kNaive || late <= 0) return;
+  adjust_ -= late;
+  ++late_wakes_;
+  total_late_wake_ += late;
+}
+
 void FramePacer::export_metrics(MetricsRegistry& reg) const {
   reg.counter("pacer.frames").set(frames_);
   reg.counter("pacer.overruns").set(overruns_);
+  reg.counter("pacer.late_wakes").set(late_wakes_);
+  reg.gauge("pacer.late_wake_ms").set(to_ms(total_late_wake_));
   reg.gauge("pacer.adjust_ms").set(to_ms(adjust_));
   reg.gauge("pacer.last_sync_adjust_ms").set(to_ms(last_sync_adjust_));
   reg.gauge("pacer.total_wait_ms").set(to_ms(total_wait_));

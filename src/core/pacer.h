@@ -50,6 +50,14 @@ class FramePacer {
   /// was pushed into AdjustTimeDelta instead).
   [[nodiscard]] Dur end_frame(Time now);
 
+  /// The caller's wait for the slot end_frame() granted finished `late`
+  /// past it (a real thread wakes up late). Carries that as an
+  /// AdjustTimeDelta deficit, as lines 3-4 carry an overrun, so the next
+  /// frame ends back on the original grid and oversleep costs no frame
+  /// rate. Only the wall-clock driver calls this; the virtual-clock
+  /// testbed never oversleeps. kNaive ignores it (it carries nothing).
+  void carry_late_wake(Dur late);
+
   [[nodiscard]] Dur adjust_time_delta() const { return adjust_; }
   [[nodiscard]] Dur last_sync_adjust() const { return last_sync_adjust_; }
   [[nodiscard]] Time current_frame_start() const { return frame_start_; }
@@ -62,7 +70,8 @@ class FramePacer {
   [[nodiscard]] std::uint64_t overruns() const { return overruns_; }
   [[nodiscard]] Dur total_wait() const { return total_wait_; }
 
-  /// Snapshots pacing state into the registry ("pacer.*").
+  /// Snapshots pacing state into the registry ("pacer.*", including
+  /// "pacer.late_wakes" and "pacer.late_wake_ms", the carried lateness).
   void export_metrics(MetricsRegistry& reg) const;
 
  private:
@@ -75,6 +84,8 @@ class FramePacer {
   std::uint64_t frames_ = 0;
   std::uint64_t overruns_ = 0;  ///< frames whose slot ended in the past
   Dur total_wait_ = 0;          ///< sum of sleeps granted by end_frame
+  std::uint64_t late_wakes_ = 0;  ///< carry_late_wake calls that carried
+  Dur total_late_wake_ = 0;        ///< their summed lateness
 };
 
 }  // namespace rtct::core

@@ -1,8 +1,8 @@
 #include "src/core/realtime.h"
 
+#include <algorithm>
 #include <chrono>
 #include <iterator>
-#include <thread>
 
 #include "src/common/telemetry.h"
 #include "src/core/wire.h"
@@ -35,6 +35,13 @@ RealtimeSession::RealtimeSession(SiteId site, emu::IDeterministicGame& game, Inp
 }
 
 Time RealtimeSession::now() const { return steady_now() - epoch_; }
+
+bool RealtimeSession::wait_until(Time deadline) {
+  ++waits_;
+  if (!socket_.wait_readable(deadline - now())) return false;
+  drain();
+  return true;
+}
 
 void RealtimeSession::drain() {
   while (auto payload = socket_.try_recv()) {
@@ -190,8 +197,7 @@ bool RealtimeSession::handshake(std::string* error) {
     // snapshot is deferred until frame 0 has executed, but join requests
     // must not be dropped on the floor).
     pump_spectators();
-    socket_.wait_readable(milliseconds(5));
-    drain();
+    wait_until(now() + milliseconds(5));
   }
   // The ingest that flipped us to running may have queued a START (the
   // master answers the slave's HELLO with one) after this loop's poll
@@ -236,9 +242,7 @@ bool RealtimeSession::run(std::string* error) {
         return false;
       }
       flush_if_due();
-      const Dur until_flush = flush_clock_.next() - now();
-      socket_.wait_readable(std::min<Dur>(std::max<Dur>(until_flush, 0), milliseconds(5)));
-      drain();
+      wait_until(std::min(flush_clock_.next(), now() + milliseconds(5)));
     }
     rec.stall = now() - sync_start;
     rec.input_ready_time = now();
@@ -258,28 +262,23 @@ bool RealtimeSession::run(std::string* error) {
       return false;
     }
     if (hook_) hook_(game_, rec);
-    rec.compute = now() - rec.input_ready_time;
+    const Time frame_done = now();
+    rec.compute = frame_done - rec.input_ready_time;
 
-    const Dur wait = pacer_.end_frame(now());  // step 10
+    const Dur wait = pacer_.end_frame(frame_done);  // step 10
     rec.wait = wait;
     timeline_.add(rec);
 
-    // Sleep out the remainder, keeping the flush timer and receiver live.
-    // poll() only has millisecond resolution and tends to overshoot, so
-    // block for all but the last ~1.5 ms and spin-poll the rest — the
-    // standard netplay pacing trick to hold 60 FPS on a real kernel.
-    const Time resume_at = now() + wait;
+    // Sleep out the remainder, keeping the flush timer and receiver live:
+    // block until the slot ends or the next flush falls due, whichever is
+    // first, and drain only when a datagram woke us.
+    const Time resume_at = frame_done + wait;
     while (now() < resume_at) {
       flush_if_due();
-      const Dur remain = resume_at - now();
-      if (remain > milliseconds(3)) {
-        socket_.wait_readable(remain - milliseconds(2));
-      } else {
-        socket_.wait_readable(0);  // nonblocking readability check
-      }
-      drain();
+      wait_until(std::min(resume_at, flush_clock_.next()));
     }
     flush_if_due();
+    pacer_.carry_late_wake(now() - resume_at);
   }
 
   drain_spectators_post_game();
@@ -340,10 +339,7 @@ bool RealtimeSession::run_rollback(std::string* error) {
         return false;
       }
       flush_if_due();
-      const Dur until_flush = flush_clock_.next() - now();
-      socket_.wait_readable(std::min<Dur>(std::max<Dur>(until_flush, 0), milliseconds(5)));
-      drain();
-      rb.reconcile();
+      if (wait_until(std::min(flush_clock_.next(), now() + milliseconds(5)))) rb.reconcile();
     }
     rec.stall = now() - sync_start;
     rec.input_ready_time = now();
@@ -361,26 +357,21 @@ bool RealtimeSession::run_rollback(std::string* error) {
       return false;
     }
     if (hook_) hook_(game_, rec);
-    rec.compute = now() - rec.input_ready_time;
+    const Time frame_done = now();
+    rec.compute = frame_done - rec.input_ready_time;
 
-    const Dur wait = pacer_.end_frame(now());
+    const Dur wait = pacer_.end_frame(frame_done);
     rec.wait = wait;
     timeline_.add(rec);
 
-    // Sleep out the remainder (same pacing trick as the lockstep loop).
-    const Time resume_at = now() + wait;
+    // Sleep out the remainder (the same deadline wait as the lockstep loop).
+    const Time resume_at = frame_done + wait;
     while (now() < resume_at) {
       flush_if_due();
-      const Dur remain = resume_at - now();
-      if (remain > milliseconds(3)) {
-        socket_.wait_readable(remain - milliseconds(2));
-      } else {
-        socket_.wait_readable(0);  // nonblocking readability check
-      }
-      drain();
-      rb.reconcile();
+      if (wait_until(std::min(resume_at, flush_clock_.next()))) rb.reconcile();
     }
     flush_if_due();
+    pacer_.carry_late_wake(now() - resume_at);
   }
 
   // Confirmation drain: every executed frame must be confirmed against the
@@ -392,10 +383,10 @@ bool RealtimeSession::run_rollback(std::string* error) {
       return false;
     }
     flush_if_due();
-    socket_.wait_readable(milliseconds(2));
-    drain();
-    rb.reconcile();
-    record_confirmed();
+    if (wait_until(std::min(flush_clock_.next(), now() + milliseconds(2)))) {
+      rb.reconcile();
+      record_confirmed();
+    }
   }
   record_confirmed();
   if (rb.desync_detected()) {
@@ -416,8 +407,7 @@ bool RealtimeSession::run_rollback(std::string* error) {
   while (!rb.fully_acked() && now() < lame_end &&
          !stop_.load(std::memory_order_relaxed)) {
     flush_if_due();
-    socket_.wait_readable(milliseconds(5));
-    drain();
+    wait_until(std::min(flush_clock_.next(), now() + milliseconds(5)));
   }
   drain_spectators_post_game();
   return true;
@@ -433,6 +423,7 @@ void RealtimeSession::export_metrics(MetricsRegistry& reg) const {
   session_.export_metrics(reg);
   timeline_.export_metrics(reg);
   socket_.export_metrics(reg);
+  reg.counter("session.waits").set(waits_);
   reg.counter("session.flushes").set(flush_clock_.fires());
   reg.counter("session.flush_reanchors").set(flush_clock_.reanchors());
   reg.counter("session.dropped_unknown_sender").set(dropped_unknown_sender_);

@@ -9,11 +9,11 @@
 // a relay::RelayEndpoint when the session goes through rtct_relayd — so
 // the frame loop is indifferent to the path.
 //
-// Single-threaded by design: the frame loop interleaves the send flush
-// timer and receive polling at its own co_await-free pace — on real
-// hardware the 20 ms flush and the frame loop live comfortably on one
-// thread, and examples/netplay_udp runs one RealtimeSession per thread to
-// get two sites in one process.
+// Single-threaded by design: the frame loop blocks on the transport until
+// the next send flush or frame deadline, waking early only for a datagram
+// — on real hardware the 20 ms flush and the frame loop live comfortably
+// on one thread, and examples/netplay_udp runs one RealtimeSession per
+// thread to get two sites in one process.
 #pragma once
 
 #include <atomic>
@@ -108,8 +108,9 @@ class RealtimeSession {
   /// Snapshots every subsystem's state into the registry: "sync.*",
   /// "pacer.*", "session.*", "timeline.*", "net.udp.*", "spectator.hub.*"
   /// (plus the stable "spectator.host.*" aggregate names, fed from the
-  /// hub), "session.flushes"/"flush_reanchors". Call between frames (from
-  /// a frame hook) or after run().
+  /// hub), "session.waits" (blocking transport waits)/"flushes"/
+  /// "flush_reanchors". Call between frames (from a frame hook) or after
+  /// run().
   void export_metrics(MetricsRegistry& reg) const;
 
   /// True when the handshake settled on the rollback consistency mode
@@ -121,6 +122,9 @@ class RealtimeSession {
 
  private:
   [[nodiscard]] Time now() const;
+  /// Blocks until `deadline` or until a datagram arrives, draining it in
+  /// the latter case; returns whether it drained.
+  bool wait_until(Time deadline);
   void flush_if_due();
   void drain();
   void pump_spectators();
@@ -152,6 +156,7 @@ class RealtimeSession {
   FrameHook hook_;
   Time epoch_ = 0;
   FlushClock flush_clock_;  ///< catch-up scheduled send-flush cadence
+  std::uint64_t waits_ = 0;  ///< wait_until calls (blocking waits)
   bool lag_applied_ = false;
   int digest_version_ = 1;  ///< locked in with the handshake outcome
   std::unique_ptr<RollbackSession> rollback_;  ///< non-null iff rollback mode

@@ -41,7 +41,8 @@ class DatagramTransport {
 /// the frame loop is indifferent to whether a relay sits on the path.
 class PollableTransport : public DatagramTransport {
  public:
-  /// Blocks up to `timeout` for a datagram to become readable.
+  /// Blocks up to `timeout` for a datagram to become readable. True when
+  /// try_recv() has something to consume, so a caller drains only then.
   virtual bool wait_readable(Dur timeout) = 0;
 
   [[nodiscard]] virtual bool valid() const = 0;

@@ -7,7 +7,9 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 
 #include "src/common/telemetry.h"
@@ -18,7 +20,7 @@ namespace rtct::net {
 namespace {
 constexpr std::size_t kMaxDatagram = 64 * 1024;
 
-const UdpSyscalls kRealSyscalls{::send, ::sendto, ::recv, ::recvfrom};
+const UdpSyscalls kRealSyscalls{::send, ::sendto, ::recv, ::recvfrom, ::ppoll};
 const UdpSyscalls* g_syscalls = &kRealSyscalls;
 
 /// Soft send failure: the datagram is lost but the socket is fine. ENOBUFS
@@ -31,6 +33,12 @@ bool soft_send_errno(int e) { return e == EAGAIN || e == EWOULDBLOCK || e == ENO
 /// during session startup produce this; the handshake retries cover it).
 bool soft_recv_errno(int e) {
   return e == EAGAIN || e == EWOULDBLOCK || e == ECONNREFUSED;
+}
+
+Time steady_now() {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
 }
 }  // namespace
 
@@ -151,19 +159,18 @@ void UdpSocket::send(std::span<const std::uint8_t> payload) {
 
 std::optional<Payload> UdpSocket::try_recv() {
   if (fd_ < 0) return std::nullopt;
-  Payload buf(kMaxDatagram);
+  rx_buf_.resize(kMaxDatagram);  // allocates once, on the first receive
   ssize_t n;
   do {
-    n = g_syscalls->recv(fd_, buf.data(), buf.size(), 0);
+    n = g_syscalls->recv(fd_, rx_buf_.data(), rx_buf_.size(), 0);
     if (n < 0 && errno == EINTR) ++eintr_retries_;
   } while (n < 0 && errno == EINTR);
   if (n < 0) {
     if (!soft_recv_errno(errno)) ++recv_errors_;
     return std::nullopt;
   }
-  buf.resize(static_cast<std::size_t>(n));
   ++received_;
-  return buf;
+  return Payload(rx_buf_.begin(), rx_buf_.begin() + n);
 }
 
 void UdpSocket::send_to(const UdpAddress& to, std::span<const std::uint8_t> payload) {
@@ -189,13 +196,13 @@ void UdpSocket::send_to(const UdpAddress& to, std::span<const std::uint8_t> payl
 
 std::optional<std::pair<Payload, UdpAddress>> UdpSocket::recv_from() {
   if (fd_ < 0) return std::nullopt;
-  Payload buf(kMaxDatagram);
+  rx_buf_.resize(kMaxDatagram);
   sockaddr_in addr{};
   socklen_t len = sizeof(addr);
   ssize_t n;
   do {
     len = sizeof(addr);
-    n = g_syscalls->recvfrom(fd_, buf.data(), buf.size(), 0,
+    n = g_syscalls->recvfrom(fd_, rx_buf_.data(), rx_buf_.size(), 0,
                              reinterpret_cast<sockaddr*>(&addr), &len);
     if (n < 0 && errno == EINTR) ++eintr_retries_;
   } while (n < 0 && errno == EINTR);
@@ -203,24 +210,28 @@ std::optional<std::pair<Payload, UdpAddress>> UdpSocket::recv_from() {
     if (!soft_recv_errno(errno)) ++recv_errors_;
     return std::nullopt;
   }
-  buf.resize(static_cast<std::size_t>(n));
   ++received_;
   UdpAddress from;
   from.ip = addr.sin_addr.s_addr;
   from.port = addr.sin_port;
-  return std::make_pair(std::move(buf), from);
+  return std::make_pair(Payload(rx_buf_.begin(), rx_buf_.begin() + n), from);
 }
 
 bool UdpSocket::wait_readable(Dur timeout) {
   if (fd_ < 0) return false;
+  // ppoll takes a timespec: a sub-millisecond wait blocks for what it asks
+  // instead of truncating to poll(0). An EINTR retry waits out only the
+  // rest of the original deadline.
+  const Time deadline = steady_now() + std::max<Dur>(timeout, 0);
   pollfd pfd{fd_, POLLIN, 0};
-  const int timeout_ms = static_cast<int>(timeout / kMillisecond);
-  int r;
-  do {
-    r = ::poll(&pfd, 1, timeout_ms < 0 ? 0 : timeout_ms);
-    if (r < 0 && errno == EINTR) ++eintr_retries_;
-  } while (r < 0 && errno == EINTR);
-  return r > 0 && (pfd.revents & POLLIN) != 0;
+  for (;;) {
+    const Dur left = std::max<Dur>(deadline - steady_now(), 0);
+    const timespec ts{static_cast<time_t>(left / kSecond), static_cast<long>(left % kSecond)};
+    const int r = g_syscalls->ppoll(&pfd, 1, &ts, nullptr);
+    if (r >= 0) return r > 0 && (pfd.revents & (POLLIN | POLLERR)) != 0;
+    if (errno != EINTR) return false;
+    ++eintr_retries_;
+  }
 }
 
 void UdpSocket::export_metrics(MetricsRegistry& reg) const {

@@ -8,6 +8,7 @@
 #include <optional>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "src/common/time.h"
 #include "src/net/transport.h"
@@ -61,15 +62,22 @@ class UdpSocket final : public PollableTransport {
   bool set_recv_buffer(int bytes);
 
   void send(std::span<const std::uint8_t> payload) override;
+  /// Next datagram, sized to its length, or nullopt. Receives land in one
+  /// reused per-socket buffer, so an empty poll allocates nothing.
   std::optional<Payload> try_recv() override;
 
   /// Unconnected mode: datagram to an explicit peer.
   void send_to(const UdpAddress& to, std::span<const std::uint8_t> payload);
-  /// Unconnected mode: next datagram + its sender, or nullopt.
+  /// Unconnected mode: next datagram + its sender, or nullopt (same
+  /// buffer reuse as try_recv).
   std::optional<std::pair<Payload, UdpAddress>> recv_from();
 
-  /// Blocks up to `timeout` for the socket to become readable.
-  /// Returns true if readable.
+  /// Blocks up to `timeout` (nanosecond precision, via ppoll) for the
+  /// socket to become readable; a timeout <= 0 only checks. A signal does
+  /// not restart the wait: it resumes with what is left of the original
+  /// deadline. Returns true when a receive has something to consume — a
+  /// datagram, or a pending socket error (an ICMP refusal) that the
+  /// receive clears.
   bool wait_readable(Dur timeout) override;
 
   [[nodiscard]] bool valid() const override { return fd_ >= 0; }
@@ -99,6 +107,7 @@ class UdpSocket final : public PollableTransport {
   int fd_ = -1;
   std::uint16_t local_port_ = 0;
   std::string error_;
+  std::vector<std::uint8_t> rx_buf_;  ///< receive scratch, sized on first use
   std::uint64_t sent_ = 0;
   std::uint64_t received_ = 0;
   std::uint64_t send_soft_drops_ = 0;

@@ -2,13 +2,16 @@
 //
 // Production code never touches this: the default table calls the real
 // Berkeley syscalls. Tests install a fake to force the failure modes a
-// loopback socket will not produce on demand — EINTR mid-call, EAGAIN on
-// send, hard errors — so the retry/telemetry paths have regression
-// coverage (tests/udp_fault_test.cpp).
+// loopback socket will not produce on demand — EINTR mid-call or mid-wait,
+// EAGAIN on send, hard errors — so the retry/telemetry paths have
+// regression coverage (tests/udp_fault_test.cpp).
 #pragma once
 
+#include <poll.h>
+#include <signal.h>
 #include <sys/socket.h>
 #include <sys/types.h>
+#include <time.h>
 
 namespace rtct::net {
 
@@ -19,6 +22,7 @@ struct UdpSyscalls {
   ssize_t (*recv)(int fd, void* buf, size_t len, int flags);
   ssize_t (*recvfrom)(int fd, void* buf, size_t len, int flags, sockaddr* addr,
                       socklen_t* addrlen);
+  int (*ppoll)(pollfd* fds, nfds_t nfds, const timespec* timeout, const sigset_t* sigmask);
 };
 
 /// The table UdpSocket routes through (defaults to the real syscalls).

@@ -2,6 +2,7 @@
 // and the real UDP socket wrapper (loopback).
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <vector>
 
 #include "src/net/netem.h"
@@ -235,6 +236,84 @@ TEST(UdpSocketTest, TryRecvOnEmptySocketReturnsNothing) {
   ASSERT_TRUE(s.valid());
   EXPECT_FALSE(s.try_recv().has_value());
   EXPECT_FALSE(s.wait_readable(milliseconds(1)));
+}
+
+// Waits block for what they ask, at sub-millisecond precision (a
+// millisecond-truncating poll() turned 800 us into a non-blocking check).
+// Lower bounds only: an oversubscribed host may wake late, never early.
+TEST(UdpSocketTest, WaitReadableHonoursSubMillisecondTimeouts) {
+  UdpSocket s("127.0.0.1", 0);
+  ASSERT_TRUE(s.valid());
+  const auto blocked = [&](Dur timeout) {
+    const auto start = std::chrono::steady_clock::now();
+    EXPECT_FALSE(s.wait_readable(timeout));
+    return std::chrono::steady_clock::now() - start;
+  };
+  EXPECT_GE(blocked(microseconds(800)), std::chrono::microseconds(700));
+  EXPECT_GE(blocked(microseconds(1500)), std::chrono::microseconds(1400));
+}
+
+TEST(UdpSocketTest, NegativeWaitReturnsAtOnce) {
+  UdpSocket s("127.0.0.1", 0);
+  ASSERT_TRUE(s.valid());
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_FALSE(s.wait_readable(-seconds(1)));
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::milliseconds(500));
+}
+
+// A send to a dead port bounces an ICMP refusal onto a connected socket.
+// The wait must report it (a receive clears it) rather than return false
+// at once forever, which would turn every deadline wait into a spin.
+TEST(UdpSocketTest, PendingSocketErrorWakesTheWaitAndReceiveClearsIt) {
+  std::uint16_t dead_port = 0;
+  {
+    UdpSocket gone("127.0.0.1", 0);
+    dead_port = gone.local_port();
+  }
+  UdpSocket a("127.0.0.1", 0);
+  ASSERT_TRUE(a.connect_peer("127.0.0.1", dead_port));
+  a.send(std::vector<std::uint8_t>{1});
+  ASSERT_TRUE(a.wait_readable(seconds(1)));
+  EXPECT_FALSE(a.try_recv().has_value());  // ECONNREFUSED, consumed softly
+  EXPECT_EQ(a.recv_errors(), 0u);
+  EXPECT_FALSE(a.wait_readable(milliseconds(20)));
+}
+
+// A delivered payload is sized to its datagram: receives go through one
+// reused buffer instead of handing out (and zeroing) 64 KiB per call.
+TEST(UdpSocketTest, ReceivedPayloadIsSizedToTheDatagram) {
+  UdpSocket a("127.0.0.1", 0);
+  UdpSocket b("127.0.0.1", 0);
+  ASSERT_TRUE(a.connect_peer("127.0.0.1", b.local_port()));
+  const std::vector<std::uint8_t> payload(100, 0x5A);
+  a.send(payload);
+  a.send(payload);
+  ASSERT_TRUE(b.wait_readable(seconds(1)));
+  const auto got = b.try_recv();
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(*got, payload);
+  EXPECT_LT(got->capacity(), 1024u);
+  ASSERT_TRUE(b.wait_readable(seconds(1)));
+  const auto from = b.recv_from();
+  ASSERT_TRUE(from.has_value());
+  EXPECT_EQ(from->first, payload);
+  EXPECT_LT(from->first.capacity(), 1024u);
+}
+
+TEST(UdpSocketTest, LargestDatagramRoundTripsIntact) {
+  UdpSocket a("127.0.0.1", 0);
+  UdpSocket b("127.0.0.1", 0);
+  ASSERT_TRUE(a.connect_peer("127.0.0.1", b.local_port()));
+  std::vector<std::uint8_t> payload(65507);  // the IPv4 UDP maximum
+  for (std::size_t i = 0; i < payload.size(); ++i) {
+    payload[i] = static_cast<std::uint8_t>(i * 131 + (i >> 8));
+  }
+  a.send(payload);
+  ASSERT_TRUE(b.wait_readable(seconds(1)));
+  const auto got = b.try_recv();
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(*got, payload);
+  EXPECT_EQ(a.send_errors(), 0u);
 }
 
 TEST(UdpSocketTest, InvalidBindAddressFails) {

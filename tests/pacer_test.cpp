@@ -2,8 +2,10 @@
 // FlushClock, the drift-free send-flush scheduler.
 #include <gtest/gtest.h>
 
+#include "src/common/telemetry.h"
 #include "src/core/flush_clock.h"
 #include "src/core/pacer.h"
+#include "src/testbed/experiment.h"
 
 namespace rtct::core {
 namespace {
@@ -75,6 +77,80 @@ TEST(PacerNaiveTest, NaivePolicyNeverCompensates) {
   EXPECT_EQ(p.adjust_time_delta(), 0);  // §3.2 strawman: no carry-over
   p.begin_frame(milliseconds(30), 1, no_obs());
   EXPECT_EQ(p.end_frame(milliseconds(31)), cfg60().frame_period() - milliseconds(1));
+}
+
+// ---- Late wakes (the wall-clock driver's oversleep) -----------------------------
+
+TEST(PacerLateWakeTest, CarriedLateWakePutsTheNextFrameBackOnTheGrid) {
+  FramePacer p(0, cfg60());
+  const Dur tpf = cfg60().frame_period();
+  p.begin_frame(0, 0, no_obs());
+  const Dur wait = p.end_frame(milliseconds(4));
+  ASSERT_EQ(milliseconds(4) + wait, tpf);  // slot ends on the grid
+
+  // The driver's sleep overshoots the slot by 3 ms.
+  const Dur late = milliseconds(3);
+  p.carry_late_wake(late);
+  EXPECT_EQ(p.adjust_time_delta(), -late);
+
+  const Time begin1 = tpf + late;
+  p.begin_frame(begin1, 1, no_obs());
+  const Time done1 = begin1 + milliseconds(2);
+  EXPECT_EQ(done1 + p.end_frame(done1), 2 * tpf);  // back on the original grid
+  EXPECT_EQ(p.adjust_time_delta(), 0);
+
+  MetricsRegistry reg;
+  p.export_metrics(reg);
+  EXPECT_EQ(reg.value("pacer.late_wakes"), 1);
+  EXPECT_EQ(reg.value("pacer.late_wake_ms"), 3.0);
+}
+
+TEST(PacerLateWakeTest, LateWakeBeyondTheSlotBecomesAnOverrun) {
+  FramePacer p(0, cfg60());
+  const Dur tpf = cfg60().frame_period();
+  p.begin_frame(0, 0, no_obs());
+  (void)p.end_frame(tpf / 2);
+  p.carry_late_wake(tpf + milliseconds(1));  // slept through a whole slot
+  p.begin_frame(2 * tpf + milliseconds(1), 1, no_obs());
+  EXPECT_EQ(p.end_frame(2 * tpf + milliseconds(2)), 0);
+  EXPECT_EQ(p.overruns(), 1u);
+  EXPECT_EQ(p.adjust_time_delta(), -milliseconds(2));  // still owed to the grid
+}
+
+TEST(PacerLateWakeTest, NaivePolicyIgnoresLateWakes) {
+  FramePacer p(0, cfg60(), PacingPolicy::kNaive);
+  const Dur tpf = cfg60().frame_period();
+  p.begin_frame(0, 0, no_obs());
+  (void)p.end_frame(milliseconds(4));
+  p.carry_late_wake(milliseconds(3));
+  EXPECT_EQ(p.adjust_time_delta(), 0);
+  MetricsRegistry reg;
+  p.export_metrics(reg);
+  EXPECT_EQ(reg.value("pacer.late_wakes"), 0);
+  const Time begin1 = tpf + milliseconds(3);
+  p.begin_frame(begin1, 1, no_obs());
+  // The strawman paces from wherever the frame began: the 3 ms are lost.
+  EXPECT_EQ(p.end_frame(begin1 + milliseconds(2)), tpf - milliseconds(2));
+}
+
+// The virtual-clock testbed sleeps exactly what EndFrameTiming grants, so it
+// never has lateness to carry: every frame begins at the instant its
+// predecessor's granted wait ends.
+TEST(PacerLateWakeTest, TestbedExperimentHasNoLateness) {
+  testbed::ExperimentConfig cfg;
+  cfg.frames = 240;
+  cfg.set_rtt(milliseconds(60));
+  const auto result = testbed::run_experiment(cfg);
+  ASSERT_TRUE(result.converged());
+  for (const auto& site : result.site) {
+    const auto& recs = site.timeline.records();
+    ASSERT_EQ(recs.size(), 240u);
+    for (std::size_t i = 1; i < recs.size(); ++i) {
+      const FrameRecord& prev = recs[i - 1];
+      ASSERT_EQ(recs[i].begin_time, prev.input_ready_time + prev.compute + prev.wait)
+          << "frame " << i;
+    }
+  }
 }
 
 // ---- Algorithm 4 (BeginFrameTiming) --------------------------------------------

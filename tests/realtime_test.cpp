@@ -3,6 +3,7 @@
 // seconds of 60 FPS play) since these consume real time.
 #include <gtest/gtest.h>
 
+#include <span>
 #include <string>
 #include <thread>
 #include <variant>
@@ -93,6 +94,84 @@ TEST(RealtimeTest, RollbackModeNegotiatesOverLoopback) {
   EXPECT_EQ(first_divergence(a.timeline(), b.timeline()), -1);
   EXPECT_EQ(m0->state_hash(), m1->state_hash());
 }
+
+// Counts the transport calls a session makes between its first and last
+// frame hooks.
+class CountingTransport final : public net::PollableTransport {
+ public:
+  explicit CountingTransport(net::PollableTransport& inner) : inner_(inner) {}
+  void send(std::span<const std::uint8_t> payload) override { inner_.send(payload); }
+  std::optional<net::Payload> try_recv() override {
+    ++calls_;
+    return inner_.try_recv();
+  }
+  bool wait_readable(Dur timeout) override {
+    ++calls_;
+    return inner_.wait_readable(timeout);
+  }
+  [[nodiscard]] bool valid() const override { return inner_.valid(); }
+  [[nodiscard]] const std::string& last_error() const override { return inner_.last_error(); }
+  void export_metrics(MetricsRegistry& reg) const override { inner_.export_metrics(reg); }
+  [[nodiscard]] std::uint64_t calls() const { return calls_; }
+
+ private:
+  net::PollableTransport& inner_;
+  std::uint64_t calls_ = 0;
+};
+
+// Regression: the pacing wait used to spin through the last ~2 ms of every
+// frame on empty try_recv + poll(0) pairs, ~2,200 calls per paced frame. A
+// deadline wait wakes only for the frame end, a flush, or a datagram — a
+// handful of calls per frame.
+void expect_no_spin(bool rollback) {
+  constexpr int kFrames = 150;
+  auto m0 = games::make_machine("torture");
+  auto m1 = games::make_machine("torture");
+  Pair sockets;
+  CountingTransport c0(sockets.s0), c1(sockets.s1);
+  MasherInput p0(11), p1(12);
+
+  RealtimeConfig cfg;
+  cfg.frames = kFrames;
+  cfg.sync.rollback = rollback;
+  RealtimeSession a(0, *m0, p0, c0, cfg);
+  RealtimeSession b(1, *m1, p1, c1, cfg);
+  // Calls made during frames 0 .. kFrames-1 (hooks at both ends).
+  std::uint64_t window[2][2] = {};
+  const auto hook_for = [&](int site, const CountingTransport& c) {
+    return [&, site](const emu::IDeterministicGame&, const FrameRecord& rec) {
+      if (rec.frame == 0) window[site][0] = c.calls();
+      if (rec.frame == kFrames - 1) window[site][1] = c.calls();
+    };
+  };
+  a.set_frame_hook(hook_for(0, c0));
+  b.set_frame_hook(hook_for(1, c1));
+
+  std::string e0, e1;
+  bool ok1 = false;
+  std::thread t([&] { ok1 = b.run(&e1); });
+  const bool ok0 = a.run(&e0);
+  t.join();
+
+  ASSERT_TRUE(ok0) << e0;
+  ASSERT_TRUE(ok1) << e1;
+  EXPECT_EQ(a.rollback_mode(), rollback);
+  ASSERT_EQ(a.timeline().size(), static_cast<std::size_t>(kFrames));
+  ASSERT_EQ(b.timeline().size(), static_cast<std::size_t>(kFrames));
+  EXPECT_EQ(first_divergence(a.timeline(), b.timeline()), -1);
+  for (int site = 0; site < 2; ++site) {
+    const double per_frame =
+        static_cast<double>(window[site][1] - window[site][0]) / (kFrames - 1);
+    EXPECT_LE(per_frame, 20.0) << "site " << site << " spins on its transport";
+  }
+  MetricsRegistry reg;
+  a.export_metrics(reg);
+  EXPECT_GT(reg.value("session.waits").value_or(0), 0);
+}
+
+TEST(RealtimeTest, LockstepPacingBlocksInsteadOfSpinning) { expect_no_spin(false); }
+
+TEST(RealtimeTest, RollbackPacingBlocksInsteadOfSpinning) { expect_no_spin(true); }
 
 TEST(RealtimeTest, MismatchedRomsRefuseToPair) {
   auto m0 = games::make_machine("pong");

@@ -8,7 +8,10 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
 #include <filesystem>
+#include <thread>
+#include <vector>
 
 #include "src/common/telemetry.h"
 #include "src/net/udp_syscalls.h"
@@ -24,6 +27,10 @@ struct FaultPlan {
   int eintr_first_n = 0;      // interrupt the first N calls before honouring
                               // the plan (exercises the retry loop)
   int calls_seen = 0;
+  // ppoll: block this long, then fail the first call with EINTR (0 = never
+  // interrupt); every call's timeout is recorded.
+  Dur ppoll_eintr_after = 0;
+  std::vector<Dur> ppoll_timeouts;
 };
 FaultPlan g_plan;
 
@@ -77,7 +84,17 @@ ssize_t fake_recvfrom(int fd, void* buf, size_t len, int flags, sockaddr* from,
   return ::recvfrom(fd, buf, len, flags, from, fromlen);
 }
 
-const UdpSyscalls kFakeTable{fake_send, fake_sendto, fake_recv, fake_recvfrom};
+int fake_ppoll(pollfd* fds, nfds_t nfds, const timespec* timeout, const sigset_t* sigmask) {
+  g_plan.ppoll_timeouts.push_back(timeout->tv_sec * kSecond + timeout->tv_nsec);
+  if (g_plan.ppoll_eintr_after > 0 && g_plan.ppoll_timeouts.size() == 1) {
+    std::this_thread::sleep_for(std::chrono::nanoseconds(g_plan.ppoll_eintr_after));
+    errno = EINTR;
+    return -1;
+  }
+  return ::ppoll(fds, nfds, timeout, sigmask);
+}
+
+const UdpSyscalls kFakeTable{fake_send, fake_sendto, fake_recv, fake_recvfrom, fake_ppoll};
 
 class UdpFaultTest : public ::testing::Test {
  protected:
@@ -133,6 +150,26 @@ TEST_F(UdpFaultTest, EintrRecvIsRetried) {
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(b.eintr_retries(), 2u);
   EXPECT_EQ(b.recv_errors(), 0u);
+}
+
+// A signal landing mid-wait must not restart the wait from the full
+// timeout (a steady signal rate would then block forever): the retry asks
+// only for what is left of the original deadline.
+TEST_F(UdpFaultTest, EintrMidWaitResumesWithTheRemainingTimeout) {
+  UdpSocket a("127.0.0.1", 0);
+  ASSERT_TRUE(a.valid());
+  g_plan.ppoll_eintr_after = milliseconds(30);
+
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_FALSE(a.wait_readable(milliseconds(100)));
+  const auto waited = std::chrono::steady_clock::now() - start;
+
+  ASSERT_EQ(g_plan.ppoll_timeouts.size(), 2u);
+  EXPECT_LE(g_plan.ppoll_timeouts[0], milliseconds(100));
+  EXPECT_GT(g_plan.ppoll_timeouts[0], milliseconds(99));
+  EXPECT_LE(g_plan.ppoll_timeouts[1], milliseconds(70));  // 30 ms already spent
+  EXPECT_GE(waited, std::chrono::milliseconds(99));       // but the whole 100 ms waited
+  EXPECT_EQ(a.eintr_retries(), 1u);
 }
 
 TEST_F(UdpFaultTest, SoftSendErrnosCountAsDropsNotErrors) {
