@@ -175,6 +175,7 @@ SyncPeer::RemoteObs MeshSyncPeer::master_obs() const {
   SyncPeer::RemoteObs obs;
   obs.valid = seen_master_ && my_site_ != kMasterSite;
   obs.last_rcv_frame = last_rcv_[kMasterSite];
+  obs.lag_frames = cfg_.buf_frames;
   obs.rcv_time = master_advance_time_;
   obs.rtt = my_site_ == kMasterSite ? 0 : peers_[kMasterSite].rtt.srtt();
   obs.rtt_valid = my_site_ != kMasterSite && peers_[kMasterSite].rtt.has_sample();

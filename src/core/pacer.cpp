@@ -16,8 +16,8 @@ void FramePacer::begin_frame(Time now, FrameNo current_frame, const SyncPeer::Re
       obs.rtt_valid) {
     const Dur tpf = cfg_.frame_period();
     // MasterFrame = LastRcvFrame[0] - BufFrame: the received frame number
-    // already includes the local-lag offset (line 6).
-    const FrameNo master_frame = obs.last_rcv_frame - cfg_.buf_frames;
+    // already includes the lag the master stamped onto it (line 6).
+    const FrameNo master_frame = obs.last_rcv_frame - obs.lag_frames;
     // t = MasterRcvTime - RTT/2 estimates when the master *sent* that
     // frame's input; extrapolate its frame at local-now and diff (line 7).
     const Time master_sent = obs.rcv_time - obs.rtt / 2;

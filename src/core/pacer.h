@@ -36,13 +36,11 @@ class FramePacer {
   FramePacer(SiteId my_site, SyncConfig cfg, PacingPolicy policy = PacingPolicy::kFull)
       : my_site_(my_site), cfg_(cfg), policy_(policy) {}
 
-  /// Adopts a handshake-negotiated local-lag depth (v2 adaptive lag); must
-  /// mirror the SyncPeer it paces, before frame 0.
-  void set_buf_frames(int buf_frames) { cfg_.buf_frames = buf_frames; }
-
   /// Algorithm 4 (BeginFrameTiming). `current_frame` is Algorithm 1's
   /// Frame; `obs` is the slave's freshest view of the master (ignored on
-  /// the master, where SyncAdjustTimeDelta is defined to be zero).
+  /// the master, where SyncAdjustTimeDelta is defined to be zero). Its
+  /// BufFrame is `obs.lag_frames`, the lag the sync engine stamps onto
+  /// inputs; the pacer keeps no lag of its own.
   void begin_frame(Time now, FrameNo current_frame, const SyncPeer::RemoteObs& obs);
 
   /// Algorithm 3 (EndFrameTiming). Returns how long the caller should

@@ -90,10 +90,7 @@ void RealtimeSession::apply_negotiated_lag() {
     return;
   }
   const int buf = session_.effective_buf_frames();
-  if (buf != cfg_.sync.buf_frames) {
-    peer_.set_buf_frames(buf);
-    pacer_.set_buf_frames(buf);
-  }
+  if (buf != cfg_.sync.buf_frames) peer_.set_buf_frames(buf);
   // Rebuild the recording with the *effective* config regardless: the
   // negotiated digest version stamps the replay's keyframe digests.
   SyncConfig eff = cfg_.sync;
@@ -281,6 +278,7 @@ bool RealtimeSession::run(std::string* error) {
     pacer_.carry_late_wake(now() - resume_at);
   }
 
+  lame_duck();
   drain_spectators_post_game();
   return true;
 }
@@ -401,16 +399,21 @@ bool RealtimeSession::run_rollback(std::string* error) {
   for (std::size_t i = 0; i < timeline_.size(); ++i) {
     timeline_.set_state_hash(i, rb.confirmed_digest(static_cast<FrameNo>(i)));
   }
-  // Lame duck: the peer cannot finish confirming its own tail without our
-  // inputs — keep flushing until it acked everything (bounded).
+  lame_duck();
+  drain_spectators_post_game();
+  return true;
+}
+
+void RealtimeSession::lame_duck() {
+  const FrameNo last = cfg_.frames - 1;
+  const auto settled = [&] {
+    return rollback_ != nullptr ? rollback_->tail_settled(last) : peer_.tail_settled(last);
+  };
   const Time lame_end = now() + cfg_.spectator_drain_grace;
-  while (!rb.fully_acked() && now() < lame_end &&
-         !stop_.load(std::memory_order_relaxed)) {
+  while (!settled() && now() < lame_end && !stop_.load(std::memory_order_relaxed)) {
     flush_if_due();
     wait_until(std::min(flush_clock_.next(), now() + milliseconds(5)));
   }
-  drain_spectators_post_game();
-  return true;
 }
 
 void RealtimeSession::export_metrics(MetricsRegistry& reg) const {

@@ -46,9 +46,10 @@ struct RealtimeConfig {
   /// Abort if SyncInput stalls longer than this (the paper's behaviour is
   /// to freeze forever; a library should let the caller bound that).
   Dur stall_timeout = seconds(5);
-  /// After the last frame, keep serving spectators (snapshot/feed
-  /// retransmissions) for up to this long so observers can finish
-  /// catching up before the process exits.
+  /// After the last frame, keep resending inputs the peer has not acked
+  /// (the lame duck), then keep serving spectators (snapshot/feed
+  /// retransmissions), each for up to this long, so the peer and the
+  /// observers can finish before the process exits.
   Dur spectator_drain_grace = seconds(3);
   /// Drop an observer not heard from for this long. Dead observers must
   /// not pin the hub's trim watermark (the slowest-reader bug); live ones
@@ -139,6 +140,11 @@ class RealtimeSession {
   /// Feeds newly confirmed frames to the replay recording and the
   /// spectator hub (rollback mode: only confirmed frames are canonical).
   void record_confirmed();
+  /// Lame duck: the peer cannot execute its last frames without our inputs
+  /// for them, and a lost final datagram is only resent by us — keep
+  /// flushing until the engine's tail_settled() holds for the last frame
+  /// (bounded by spectator_drain_grace).
+  void lame_duck();
   /// Post-game retransmission grace for observers still catching up.
   void drain_spectators_post_game();
 

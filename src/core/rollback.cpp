@@ -55,7 +55,8 @@ RollbackSession::FrameOutcome RollbackSession::advance_frame(InputWord local_inp
   execute_frame(f);
   ++executed_;
   ++rstats_.frames_executed;
-  const Slot& s = slot(f);
+  Slot& s = slot(f);
+  s.mispredicted = false;
   if (!s.remote_actual) ++rstats_.predicted_frames;
   advance_confirmed();
   return FrameOutcome{f, s.digest, !s.remote_actual};
@@ -91,7 +92,11 @@ void RollbackSession::rollback_and_resim(FrameNo from) {
   for (FrameNo f = from; f < top; ++f) {
     const InputWord prev_used = slot(f).remote_used;
     execute_frame(f);
-    if (slot(f).remote_used != prev_used) ++rstats_.mispredicted_frames;
+    Slot& s = slot(f);
+    if (s.remote_used != prev_used && !s.mispredicted) {
+      s.mispredicted = true;  // a later rollback may change it again
+      ++rstats_.mispredicted_frames;
+    }
     ++rstats_.frames_resimulated;
   }
 }
@@ -230,6 +235,7 @@ SyncPeer::RemoteObs RollbackSession::remote_obs() const {
   SyncPeer::RemoteObs o;
   o.valid = seen_remote_;
   o.last_rcv_frame = remote_contig_;
+  o.lag_frames = delay_;
   o.rcv_time = remote_advance_time_;
   o.rtt = rtt_.srtt();
   o.rtt_valid = rtt_.has_sample();

@@ -61,7 +61,9 @@ struct RollbackStats {
   std::uint64_t frames_resimulated = 0;  ///< re-executions after a rollback
   std::uint64_t rollbacks = 0;           ///< restore events
   std::uint64_t predicted_frames = 0;    ///< executed with a predicted remote input
-  std::uint64_t mispredicted_frames = 0; ///< prediction later proved wrong
+  /// Frames whose predicted remote input later proved wrong, each counted
+  /// once however often it was re-simulated (so <= predicted_frames).
+  std::uint64_t mispredicted_frames = 0;
   int max_rollback_depth = 0;            ///< deepest single restore, in frames
 };
 
@@ -130,10 +132,14 @@ class RollbackSession {
   [[nodiscard]] std::span<const std::uint8_t> confirmed_state() const {
     return slot(confirmed_ - 1).state;
   }
-  /// True when the peer has acked every local input we ever buffered —
-  /// the lame-duck exit condition (the peer needs our inputs to finish
-  /// confirming its own tail).
-  [[nodiscard]] bool fully_acked() const { return last_ack_frame_ >= local_top_; }
+  /// Lame-duck exit condition for a match whose last frame is `last`: the
+  /// peer acked our inputs through `last` (it needs them to confirm its
+  /// tail, but never executes a later frame, so a finished peer need not
+  /// ack the inputs our delay buffered past the end), and our own ack of
+  /// its inputs through `last` is on the wire (so it can stop too).
+  [[nodiscard]] bool tail_settled(FrameNo last) const {
+    return last_ack_frame_ >= last && ack_sent_ >= last;
+  }
 
   // ---- desync detection (same contract as SyncPeer) ----------------------
   [[nodiscard]] bool desync_detected() const { return desync_frame_ >= 0; }
@@ -160,6 +166,7 @@ class RollbackSession {
     InputWord merged = 0;       ///< full input word the frame executed with
     InputWord remote_used = 0;  ///< the remote partial inside `merged`
     bool remote_actual = false; ///< remote_used is the real input, not a guess
+    bool mispredicted = false;  ///< already counted in mispredicted_frames
   };
 
   Slot& slot(FrameNo f) { return ring_[static_cast<std::size_t>(f % window_)]; }

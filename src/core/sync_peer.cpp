@@ -256,6 +256,7 @@ SyncPeer::RemoteObs SyncPeer::remote_obs() const {
   RemoteObs obs;
   obs.valid = seen_remote_;
   obs.last_rcv_frame = last_rcv_frame_[rm_site_];
+  obs.lag_frames = cfg_.buf_frames;
   obs.rcv_time = remote_advance_time_;
   obs.rtt = rtt_.srtt();
   obs.rtt_valid = rtt_.has_sample();

@@ -119,6 +119,12 @@ class SyncPeer {
     return last_rcv_frame_[site & 1];
   }
   [[nodiscard]] FrameNo last_ack_frame() const { return last_ack_frame_; }
+  /// Lame-duck exit condition for a match whose last frame is `last`: the
+  /// peer acked our inputs through `last`, and our own ack of its inputs
+  /// through `last` is on the wire (so it can stop resending too).
+  [[nodiscard]] bool tail_settled(FrameNo last) const {
+    return last_ack_frame_ >= last && ack_sent_ >= last;
+  }
 
   /// Smoothed round-trip time; 0 until the first sample (§3.2's RTT).
   /// `has_rtt_sample()` distinguishes "unmeasured" from "measured ~0"
@@ -131,11 +137,16 @@ class SyncPeer {
 
   /// Observation of the remote site's progress for Algorithm 4:
   /// LastRcvFrame[remote] and the local arrival time of the message that
-  /// advanced it ("MasterRcvTime"). `rtt` is only meaningful when
-  /// `rtt_valid`; consumers must not treat 0 as "no delay" otherwise.
+  /// advanced it ("MasterRcvTime"). `lag_frames` is the input lag the
+  /// remote site stamped onto that input ("BufFrame": the negotiated local
+  /// lag in lockstep, the input delay in rollback), filled by the engine
+  /// that owns it so the pacer never keeps a copy that could disagree.
+  /// `rtt` is only meaningful when `rtt_valid`; consumers must not treat 0
+  /// as "no delay" otherwise.
   struct RemoteObs {
     bool valid = false;
     FrameNo last_rcv_frame = 0;
+    int lag_frames = 0;
     Time rcv_time = 0;
     Dur rtt = 0;
     bool rtt_valid = false;

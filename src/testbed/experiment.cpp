@@ -128,7 +128,7 @@ class SimSite {
     if (any) state_changed_.notify_all();
   }
 
-  /// Locks the handshake-negotiated local lag into the sync/pacing state.
+  /// Locks the handshake-negotiated local lag into the sync state.
   /// Idempotent; must run after running() turns true and before the first
   /// submit/ingest/flush. With the fixed paper policy it is a no-op.
   void apply_negotiated_lag() {
@@ -150,10 +150,7 @@ class SimSite {
     }
     const int buf = session_.effective_buf_frames();
     result_.buf_frames = buf;
-    if (buf != cfg_.sync.buf_frames) {
-      peer_.set_buf_frames(buf);
-      pacer_.set_buf_frames(buf);
-    }
+    if (buf != cfg_.sync.buf_frames) peer_.set_buf_frames(buf);
     // Rebuild the recording with the *effective* config regardless: the
     // negotiated digest version stamps the replay's keyframe digests.
     core::SyncConfig eff = cfg_.sync;

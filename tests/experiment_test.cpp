@@ -4,6 +4,8 @@
 // reference execution.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <memory>
 
 #include "src/common/stats.h"
@@ -108,6 +110,28 @@ TEST(ExperimentTest, FullSpeedAtLowRtt) {
   EXPECT_LT(r.frame_time_deviation_ms(0), 0.5);
   EXPECT_LT(r.frame_time_deviation_ms(1), 1.5);
   EXPECT_LT(r.synchrony_ms(), 12.0);
+}
+
+TEST(ExperimentTest, RollbackSlaveBeginsFramesWithinAPeriodOfTheMaster) {
+  // Regression: the slave's pacer estimated the master's frame with the
+  // lockstep lag (6) while rollback inputs carry the input delay (2), so
+  // the slave settled ~4 frames behind. With the lag read from the
+  // rollback engine, every frame after rate sync has converged begins
+  // within one frame period of the master's.
+  ExperimentConfig cfg = quick(600);
+  cfg.sync.rollback = true;
+  cfg.set_rtt(milliseconds(50));
+  const auto r = run_experiment(cfg);
+  ASSERT_TRUE(r.converged());
+  ASSERT_TRUE(r.site[1].rollback_mode);
+  const double period_ms = to_ms(cfg.sync.frame_period());
+  const auto diffs =
+      core::synchrony_differences(r.site[0].timeline, r.site[1].timeline).samples();
+  ASSERT_EQ(diffs.size(), 600u);
+  double worst = 0;
+  for (std::size_t f = 120; f < diffs.size(); ++f) worst = std::max(worst, std::abs(diffs[f]));
+  EXPECT_LT(worst, period_ms);
+  EXPECT_LT(r.synchrony_ms(), period_ms);
 }
 
 TEST(ExperimentTest, SlowdownBeyondThreshold) {

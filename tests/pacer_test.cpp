@@ -155,10 +155,13 @@ TEST(PacerLateWakeTest, TestbedExperimentHasNoLateness) {
 
 // ---- Algorithm 4 (BeginFrameTiming) --------------------------------------------
 
-SyncPeer::RemoteObs obs(FrameNo last_rcv, Time rcv_time, Dur rtt) {
+/// An observation of the master; `lag` is the BufFrame its inputs carry
+/// (6, the lockstep default, unless a test says otherwise).
+SyncPeer::RemoteObs obs(FrameNo last_rcv, Time rcv_time, Dur rtt, int lag = 6) {
   SyncPeer::RemoteObs o;
   o.valid = true;
   o.last_rcv_frame = last_rcv;
+  o.lag_frames = lag;
   o.rcv_time = rcv_time;
   o.rtt = rtt;
   o.rtt_valid = true;
@@ -211,6 +214,27 @@ TEST(PacerAlg4Test, SlaveBehindSpeedsUp) {
   const Time now = milliseconds(500) + 6 * tpf;
   p.begin_frame(now, 27, obs(30, milliseconds(500), 0));
   EXPECT_EQ(p.last_sync_adjust(), -3 * tpf);  // negative => shorten frames
+}
+
+TEST(PacerAlg4Test, MasterFrameFollowsTheObservedLagNotTheConfig) {
+  // Regression: the pacer used to subtract its own copy of buf_frames (6),
+  // while rollback inputs carry the input delay (2); every rollback slave
+  // then lined up 4 frames behind the master. The lag now travels with the
+  // observation, so the same config paces to whatever the engine stamped.
+  const SyncConfig cfg = cfg60();
+  ASSERT_EQ(cfg.buf_frames, 6);
+  const Dur tpf = cfg.frame_period();
+  const Time now = milliseconds(500) + 2 * tpf;
+  // LastRcv 32 with lag 2: the master sent at frame 30 and, 2 frames
+  // later, is at 32 — a slave at frame 32 is in sync.
+  FramePacer rollback_slave(kSlaveSite, cfg);
+  rollback_slave.begin_frame(now, 32, obs(32, milliseconds(500), 0, /*lag=*/2));
+  EXPECT_EQ(rollback_slave.last_sync_adjust(), 0);
+  // The same observation read with lag 6 puts the master at 28: the slave
+  // is 4 frames ahead and must slow down by exactly those 4 frames.
+  FramePacer lockstep_slave(kSlaveSite, cfg);
+  lockstep_slave.begin_frame(now, 32, obs(32, milliseconds(500), 0, /*lag=*/6));
+  EXPECT_EQ(lockstep_slave.last_sync_adjust(), 4 * tpf);
 }
 
 TEST(PacerAlg4Test, RttHalfShiftsTheMasterEstimate) {

@@ -3,6 +3,8 @@
 // seconds of 60 FPS play) since these consume real time.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cmath>
 #include <span>
 #include <string>
 #include <thread>
@@ -16,6 +18,7 @@
 #include "src/core/wire.h"
 #include "src/games/roms.h"
 #include "src/net/udp_socket.h"
+#include "src/net/udp_syscalls.h"
 
 namespace rtct::core {
 namespace {
@@ -172,6 +175,99 @@ void expect_no_spin(bool rollback) {
 TEST(RealtimeTest, LockstepPacingBlocksInsteadOfSpinning) { expect_no_spin(false); }
 
 TEST(RealtimeTest, RollbackPacingBlocksInsteadOfSpinning) { expect_no_spin(true); }
+
+// Regression: the pacer subtracted its own buf_frames (6) from the master's
+// last received frame, while rollback inputs carry the input delay (2), so
+// the rollback slave began every frame ~4 frames (~67 ms) after the master.
+// With the lag taken from the engine, the two sites' frame starts sit
+// within a frame period of each other (median over the paced frames, so a
+// noisy scheduler's outliers do not decide it).
+TEST(RealtimeTest, RollbackSlaveFrameStartsTrackTheMaster) {
+  constexpr int kFrames = 180;
+  constexpr int kWarmup = 60;  // rate sync converges from the start skew
+  auto m0 = games::make_machine("torture");
+  auto m1 = games::make_machine("torture");
+  Pair sockets;
+  MasherInput p0(21), p1(22);
+
+  RealtimeConfig cfg;
+  cfg.frames = kFrames;
+  cfg.sync.rollback = true;
+  RealtimeSession a(0, *m0, p0, sockets.s0, cfg);
+  RealtimeSession b(1, *m1, p1, sockets.s1, cfg);
+
+  std::string e0, e1;
+  bool ok1 = false;
+  std::thread t([&] { ok1 = b.run(&e1); });
+  const bool ok0 = a.run(&e0);
+  t.join();
+
+  ASSERT_TRUE(ok0) << e0;
+  ASSERT_TRUE(ok1) << e1;
+  ASSERT_TRUE(a.rollback_mode());
+  // Both sessions' clocks start at construction, microseconds apart.
+  const auto diffs = synchrony_differences(a.timeline(), b.timeline()).samples();
+  ASSERT_EQ(diffs.size(), static_cast<std::size_t>(kFrames));
+  std::vector<double> offsets;
+  for (std::size_t f = kWarmup; f < diffs.size(); ++f) offsets.push_back(std::abs(diffs[f]));
+  EXPECT_LT(percentile(offsets, 50), 1000.0 / 60.0)
+      << "the slave trails the master by more than a frame";
+}
+
+// Drops the next `g_drops_left` datagrams sent on socket `g_drop_fd`
+// (pretending they were sent): the final inputs of a match lost on the
+// wire. Only the thread running that socket's session sends on it.
+std::atomic<int> g_drop_fd{-1};
+std::atomic<int> g_drops_left{0};
+ssize_t dropping_send(int fd, const void* buf, size_t len, int flags) {
+  if (fd == g_drop_fd.load() && g_drops_left.load() > 0) {
+    g_drops_left.fetch_sub(1);
+    return static_cast<ssize_t>(len);
+  }
+  return ::send(fd, buf, len, flags);
+}
+const net::UdpSyscalls kDroppingSyscalls{dropping_send, ::sendto, ::recv, ::recvfrom, ::ppoll};
+
+// Regression: a lockstep site returned right after its last frame. When the
+// datagrams carrying its final inputs were lost, nobody resent them and the
+// peer hit its stall timeout. The lame duck keeps resending until the peer
+// has acked them.
+TEST(RealtimeTest, LockstepLameDuckResendsLostFinalInputs) {
+  constexpr int kFrames = 60;
+  constexpr int kDrops = 25;  // ~0.5 s of flushes: more than the loop sends
+  auto m0 = games::make_machine("torture");
+  auto m1 = games::make_machine("torture");
+  Pair sockets;
+  MasherInput p0(31), p1(32);
+
+  RealtimeConfig cfg;
+  cfg.frames = kFrames;
+  cfg.stall_timeout = seconds(2);
+  RealtimeSession a(0, *m0, p0, sockets.s0, cfg);
+  RealtimeSession b(1, *m1, p1, sockets.s1, cfg);
+  // Site 0's input for the last frame is buffered at frame
+  // kFrames-1-buf_frames; lose everything it sends from just before then.
+  a.set_frame_hook([&](const emu::IDeterministicGame&, const FrameRecord& rec) {
+    if (rec.frame == kFrames - 2 - cfg.sync.buf_frames) g_drops_left.store(kDrops);
+  });
+  g_drop_fd.store(sockets.s0.native_fd());
+  net::set_udp_syscalls_for_test(&kDroppingSyscalls);
+
+  std::string e0, e1;
+  bool ok1 = false;
+  std::thread t([&] { ok1 = b.run(&e1); });
+  const bool ok0 = a.run(&e0);
+  t.join();
+  net::set_udp_syscalls_for_test(nullptr);
+  g_drop_fd.store(-1);
+
+  EXPECT_EQ(g_drops_left.load(), 0) << "site 0 stopped sending before the drops ran out";
+  ASSERT_TRUE(ok0) << e0;
+  ASSERT_TRUE(ok1) << e1;
+  EXPECT_EQ(a.timeline().size(), static_cast<std::size_t>(kFrames));
+  EXPECT_EQ(b.timeline().size(), static_cast<std::size_t>(kFrames));
+  EXPECT_EQ(first_divergence(a.timeline(), b.timeline()), -1);
+}
 
 TEST(RealtimeTest, MismatchedRomsRefuseToPair) {
   auto m0 = games::make_machine("pong");

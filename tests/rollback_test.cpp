@@ -13,7 +13,9 @@
 //     confirmation catches up;
 //   * go-back-N retransmission survives loss, duplication and reordering;
 //   * the hash tripwire flags a forged state hash at the exact frame;
-//   * confirmed_state() is a loadable snapshot of the confirmed frontier.
+//   * confirmed_state() is a loadable snapshot of the confirmed frontier;
+//   * a frame mispredicted twice counts as one misprediction;
+//   * the lame-duck exit needs no acks for inputs past the last frame.
 #include <gtest/gtest.h>
 
 #include <deque>
@@ -78,11 +80,11 @@ struct Rig {
   }
 
   /// Pumps the network (no new frames) until both sides confirmed all
-  /// `frames` and acked each other's full input history.
+  /// `frames` and acked each other's inputs for them.
   void drain(FrameNo frames) {
     for (int i = 0; i < 1000; ++i) {
       if (a_.confirmed_frames() >= frames && b_.confirmed_frames() >= frames &&
-          a_.fully_acked() && b_.fully_acked()) {
+          a_.tail_settled(frames - 1) && b_.tail_settled(frames - 1)) {
         return;
       }
       now_ += milliseconds(16);
@@ -291,6 +293,78 @@ TEST(RollbackSessionTest, ConfirmedStateIsALoadableSnapshotOfTheFrontier) {
             rig.a_.confirmed_digest(confirmed - 1));
   // And it is *not* the speculative head state.
   EXPECT_NE(probe->frame(), rig.a_.current_frame());
+}
+
+TEST(RollbackSessionTest, FrameMispredictedTwiceCountsOnce) {
+  // Regression: every re-simulation that changed a frame's remote input
+  // counted a misprediction, so a frame re-run twice counted twice and
+  // rollback.mispredict_ratio (mispredicted / predicted) could exceed 1.
+  SyncConfig cfg = rollback_cfg(/*delay=*/0);
+  auto game = games::make_cellwars();
+  RollbackSession s(0, *game, cfg);
+  constexpr FrameNo kFrames = 6;
+  for (FrameNo f = 0; f < kFrames; ++f) s.advance_frame(0);  // remote held at 0
+  ASSERT_EQ(s.rollback_stats().predicted_frames, static_cast<std::uint64_t>(kFrames));
+
+  // Frame 1's actual remote input differs: frames 1..5 re-run (2..5 now
+  // predict the new value by holding it).
+  SyncMsg m;
+  m.site = 1;
+  m.first_frame = 1;
+  m.inputs = {make_input(0, 0x12)};
+  s.ingest(m, milliseconds(100));
+  s.reconcile();
+  ASSERT_EQ(s.rollback_stats().rollbacks, 1u);
+  EXPECT_EQ(s.rollback_stats().mispredicted_frames, 5u);
+
+  // Frames 2..5 turn out different again: re-run a second time, each
+  // frame already counted.
+  m.first_frame = 2;
+  m.inputs.assign(4, make_input(0, 0x04));
+  s.ingest(m, milliseconds(120));
+  s.reconcile();
+  ASSERT_EQ(s.rollback_stats().rollbacks, 2u);
+  EXPECT_EQ(s.rollback_stats().frames_resimulated, 9u);
+  EXPECT_EQ(s.rollback_stats().mispredicted_frames, 5u);
+  EXPECT_LE(s.rollback_stats().mispredicted_frames, s.rollback_stats().predicted_frames);
+}
+
+TEST(RollbackSessionTest, SlaveFinishingAfterMasterSettlesWithoutItsDelayedInputsAcked) {
+  // Regression: the lame duck waited until the peer acked every input the
+  // local delay had buffered, frames up to last + delay. A master that has
+  // finished never executes those frames and leaves once its own tail is
+  // settled, so the slave finishing after it idled out the whole grace
+  // period on every match. Only inputs through the last frame need acks.
+  Rig rig;  // input delay 2
+  constexpr FrameNo kFrames = 30;
+  constexpr FrameNo kLast = kFrames - 1;
+  // Both play until the slave has buffered its input for the last frame.
+  for (FrameNo f = 0; f < kFrames - 2; ++f) rig.step(0x11, 0x12);
+  // The master runs ahead, finishes, and stays a lame duck (the slave
+  // keeps acking) until its tail is settled; then it leaves.
+  rig.a_.advance_frame(make_input(0x11, 0));
+  rig.a_.advance_frame(make_input(0x11, 0));
+  for (int i = 0; i < 100 && !(rig.a_.confirmed_frames() == kFrames &&
+                               rig.a_.tail_settled(kLast)); ++i) {
+    rig.now_ += milliseconds(16);
+    rig.deliver_due();
+    rig.flush();
+  }
+  ASSERT_EQ(rig.a_.confirmed_frames(), kFrames);
+  ASSERT_TRUE(rig.a_.tail_settled(kLast));
+  rig.now_ += milliseconds(100);
+  rig.deliver_due();  // whatever the master said last reaches the slave
+  rig.to_a_.clear();
+  // The slave finishes alone: its inputs for frames kFrames, kFrames+1
+  // go out but nobody acks them.
+  rig.b_.advance_frame(make_input(0, 0x12));
+  rig.b_.advance_frame(make_input(0, 0x12));
+  (void)rig.b_.make_message(rig.now_);  // sent, but nobody is listening
+  rig.b_.reconcile();
+  EXPECT_EQ(rig.b_.confirmed_frames(), kFrames);
+  EXPECT_TRUE(rig.b_.tail_settled(kLast)) << "slave would idle out the grace period";
+  EXPECT_FALSE(rig.b_.tail_settled(kLast + rig.cfg_.rollback_input_delay))
+      << "test is vacuous unless inputs past the last frame stay unacked";
 }
 
 TEST(RollbackSessionTest, WindowClampGuaranteesRoomOverInputDelay) {
