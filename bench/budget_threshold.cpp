@@ -13,16 +13,21 @@
 // "deviation knee" — the last RTT whose frame-time deviation stays under
 // 2 ms, which is how the paper itself identifies its threshold ("the
 // average deviation suddenly jumps"). Prediction mirrors the paper's §4.2
-// subtraction: average batching delay (flush/2) + steady inter-site sync
-// deviation (≈ flush/2 in this model) + dispatch:
-//     predicted RTT = 2 * (local_lag - flush - dispatch).
+// subtraction: average batching delay (flush/2) + dispatch, with no
+// inter-site sync deviation term — sync messages carry their input's age,
+// so the slave begins each frame with the master instead of trailing it by
+// the batching phase:
+//     predicted RTT = 2 * (local_lag - flush/2 - dispatch).
+// The threshold must also fall monotonically as either overhead grows.
 //
 // With the paper's own overhead parameters (flush 20 ms, dispatch 5 ms)
-// this model measures a ~150 ms threshold — the paper reports ~140 ms
-// (their extra -15 ms sync-deviation term was measured on real hardware
-// with noisier clocks).
+// this model measures a ~170 ms threshold — the paper reports ~140 ms
+// (its extra -15 ms sync-deviation term was measured on real hardware,
+// whose slave trailed its master).
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
+#include <vector>
 
 #include "src/testbed/experiment.h"
 
@@ -46,6 +51,7 @@ int main(int argc, char** argv) {
 
   bool all_close = true;
   double paper_params_threshold = -1;
+  std::vector<int> knees;  // measured threshold per case, in `cases` order
   for (const auto& c : cases) {
     ExperimentConfig base;
     base.frames = frames;
@@ -53,7 +59,7 @@ int main(int argc, char** argv) {
     base.sync.send_dispatch_delay = milliseconds(c.dispatch_ms);
 
     const double local_lag_ms = to_ms(base.sync.local_lag());
-    const double predicted = 2.0 * (local_lag_ms - c.flush_ms - c.dispatch_ms);
+    const double predicted = 2.0 * (local_lag_ms - c.flush_ms / 2.0 - c.dispatch_ms);
 
     // Measure the deviation knee on a 10 ms grid.
     int knee = -1;
@@ -67,6 +73,7 @@ int main(int argc, char** argv) {
       knee = ms;
     }
     if (c.flush_ms == 20 && c.dispatch_ms == 5) paper_params_threshold = knee;
+    knees.push_back(knee);
 
     const bool close = std::abs(knee - predicted) <= 25.0;
     all_close = all_close && close;
@@ -74,9 +81,23 @@ int main(int argc, char** argv) {
                 close ? "yes" : "NO");
   }
 
+  // Monotone in both knobs: a case with no more flush and no more dispatch
+  // than another must not measure a lower threshold.
+  bool monotone = true;
+  for (std::size_t i = 0; i < std::size(cases); ++i) {
+    for (std::size_t j = 0; j < std::size(cases); ++j) {
+      if (cases[i].flush_ms <= cases[j].flush_ms &&
+          cases[i].dispatch_ms <= cases[j].dispatch_ms && knees[i] < knees[j]) {
+        monotone = false;
+      }
+    }
+  }
+
   std::printf("\nthreshold tracks the budget arithmetic: %s\n", all_close ? "yes" : "NO");
+  std::printf("threshold falls monotonically as either overhead grows: %s\n",
+              monotone ? "yes" : "NO");
   std::printf("measured threshold with the paper's overheads (flush 20 ms, dispatch 5 ms): "
               "%.0f ms — paper reports ~140 ms (see EXPERIMENTS.md)\n",
               paper_params_threshold);
-  return all_close ? 0 : 1;
+  return all_close && monotone ? 0 : 1;
 }

@@ -8,7 +8,10 @@
 #   3. re-run the fuzz label explicitly — decoder fuzzing is the suite
 #      the sanitizers exist for, so its result is surfaced on its own;
 #   4. produce a bench export and validate it with `rtct_trace --check`,
-#      so the observability schema cannot silently rot.
+#      so the observability schema cannot silently rot;
+#   5. build the tsan preset and run the multi-threaded suites (relay
+#      shards + lobby, wall-clock sessions, UDP fault seam) under
+#      ThreadSanitizer.
 #
 # Usage: scripts/check.sh [extra ctest args...]
 set -euo pipefail
@@ -73,5 +76,11 @@ sh tests/replay_bisect_test.sh ./build-asan/tools/rtct_replay tests/fixtures
 echo "==> relay + CLI regression tests (also covered by the full suite run)"
 ctest --preset sanitize -R "relay_test|relay_soak_test|udp_fault_test|cli_netplay_test" \
       --output-on-failure
+
+echo "==> ThreadSanitizer leg (relay shards/lobby, wall-clock sessions)"
+cmake --preset tsan
+cmake --build --preset tsan -j "$(nproc)" --target \
+      relay_test relay_soak_test realtime_test udp_fault_test
+ctest --preset tsan -R "^(relay_test|relay_soak_test|realtime_test|udp_fault_test)$"
 
 echo "==> all checks passed"

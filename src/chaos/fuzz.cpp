@@ -32,6 +32,7 @@ using core::SyncMsg;
 constexpr FrameNo kMaxWireFrame = FrameNo{1} << 48;
 constexpr std::size_t kMaxWireInputs = 4096;
 constexpr std::size_t kMaxSnapshot = 1 << 20;
+constexpr SiteId kMaxWireSites = 8;
 
 bool frame_ok(FrameNo f, FrameNo floor) { return f >= floor && f < kMaxWireFrame; }
 bool time_ok(Time t, Time floor) { return t >= floor; }
@@ -44,6 +45,9 @@ std::optional<std::string> validate_accepted(const Message& m) {
       return "accepted HELLO with out-of-range timestamps";
     }
   } else if (const auto* s = std::get_if<SyncMsg>(&m)) {
+    if (s->site < 0 || s->site >= kMaxWireSites) return "accepted SYNC with out-of-range site";
+    // input_age_us needs no check: every u16 is an age <= kMaxInputAge or
+    // the kNoInputAge sentinel.
     if (!frame_ok(s->first_frame, 0) || !frame_ok(s->ack_frame, -1) ||
         !frame_ok(s->hash_frame, -1)) {
       return "accepted SYNC with out-of-range frames";
@@ -88,7 +92,8 @@ std::vector<std::uint8_t> random_encoded(Rng& rng) {
     case 0: {
       HelloMsg h;
       h.site = static_cast<SiteId>(rng.uniform(-1, 2));
-      h.protocol_version = static_cast<std::uint32_t>(rng.uniform(0, 3));
+      h.protocol_version =
+          static_cast<std::uint32_t>(rng.uniform(0, core::kProtocolVersion + 1));
       h.rom_checksum = rng.next_u64();
       h.cfps = static_cast<std::uint16_t>(rng.uniform(0, 240));
       h.buf_frames = static_cast<std::uint16_t>(rng.uniform(0, 64));
@@ -110,7 +115,7 @@ std::vector<std::uint8_t> random_encoded(Rng& rng) {
     }
     case 2: {
       SyncMsg s;
-      s.site = static_cast<SiteId>(rng.uniform(-2, 3));
+      s.site = static_cast<SiteId>(rng.uniform(-2, 9));
       s.ack_frame = interesting_i64(rng);
       s.first_frame = interesting_i64(rng);
       const auto n = static_cast<std::size_t>(
@@ -121,6 +126,8 @@ std::vector<std::uint8_t> random_encoded(Rng& rng) {
       s.send_time = interesting_i64(rng);
       s.echo_time = interesting_i64(rng);
       s.echo_hold = interesting_i64(rng);
+      s.input_age_us = rng.bernoulli(0.5) ? core::kNoInputAge
+                                          : static_cast<std::uint16_t>(rng.next_u64());
       s.hash_frame = interesting_i64(rng);
       s.state_hash = rng.next_u64();
       m = s;
@@ -293,7 +300,7 @@ std::vector<CorpusEntry> build_corpus() {
   // --- valid edge cases: every type, every sentinel --------------------
   HelloMsg hello;
   hello.site = 1;
-  hello.protocol_version = 2;
+  hello.protocol_version = core::kProtocolVersion;
   hello.rom_checksum = 0x1234'5678'9abc'def0ull;
   hello.cfps = 60;
   hello.buf_frames = 6;
@@ -318,10 +325,16 @@ std::vector<CorpusEntry> build_corpus() {
   sync.send_time = 2'000'000'000;
   sync.echo_time = 1'999'000'000;
   sync.echo_hold = 5'000'000;
+  sync.input_age_us = 12'345;
   sync.hash_frame = 40;
   sync.state_hash = 0xfeedface;
   valid("sync_steady_state", sync);
+  sync.input_age_us = core::kMaxInputAge;
+  sync.site = kMaxWireSites - 1;
+  valid("sync_age_saturated_site_max", sync);
+  sync.site = 1;
   sync.inputs.clear();
+  sync.input_age_us = core::kNoInputAge;
   valid("sync_ack_only", sync);
   sync.first_frame = kMaxWireFrame - 1;
   sync.ack_frame = kMaxWireFrame - 1;
@@ -360,13 +373,13 @@ std::vector<CorpusEntry> build_corpus() {
   {
     // SYNC claiming 4096 inputs but carrying 2: length confusion.
     ByteWriter w(64);
-    w.u8(3); w.i32(1); w.i64(0); w.i64(0); w.u32(4096); w.u16(1); w.u16(2);
+    w.u8(3); w.u8(1); w.i64(0); w.i64(0); w.u32(4096); w.u16(1); w.u16(2);
     add("sync_count_oversized", w.take(), true);
   }
   {
     // SYNC claiming 2^32-1 inputs: must reject before reserving.
     ByteWriter w(64);
-    w.u8(3); w.i32(1); w.i64(0); w.i64(0); w.u32(0xFFFFFFFFu);
+    w.u8(3); w.u8(1); w.i64(0); w.i64(0); w.u32(0xFFFFFFFFu);
     add("sync_count_huge", w.take(), true);
   }
   {
@@ -401,6 +414,9 @@ std::vector<CorpusEntry> build_corpus() {
   bad = sync;
   bad.hash_frame = std::numeric_limits<FrameNo>::max();
   add("sync_hash_frame_intmax", core::encode_message(Message{bad}), true);
+  bad = sync;
+  bad.site = kMaxWireSites;  // one past the last site InputBuffer holds
+  add("sync_site_past_cap", core::encode_message(Message{bad}), true);
 
   HelloMsg bad_hello = hello;
   bad_hello.hello_time = -1;
@@ -424,9 +440,9 @@ std::vector<CorpusEntry> build_corpus() {
     // ingest must still be safe. Kept in the corpus as a decoder
     // round-trip case.
     ByteWriter w(64);
-    w.u8(3); w.i32(1); w.i64(0); w.i64((FrameNo{1} << 48) - 2); w.u32(4);
+    w.u8(3); w.u8(1); w.i64(0); w.i64((FrameNo{1} << 48) - 2); w.u32(4);
     w.u16(1); w.u16(2); w.u16(3); w.u16(4);
-    w.i64(1); w.i64(-1); w.i64(0); w.i64(-1); w.u64(0);
+    w.i64(1); w.i64(-1); w.i64(0); w.u16(core::kNoInputAge); w.i64(-1); w.u64(0);
     add("sync_window_spans_cap", w.take(), false);
   }
   {
@@ -675,7 +691,7 @@ std::optional<std::string> fuzz_ingest(std::uint64_t seed, int iterations) {
     }
     // Drive the machines forward so ingested state is consumed, not just
     // stored: local frames advance, ready inputs pop, messages flush.
-    peer.submit_local(local_frame, static_cast<InputWord>(rng.next_u64()));
+    peer.submit_local(local_frame, static_cast<InputWord>(rng.next_u64()), now);
     ++local_frame;
     while (peer.ready()) peer.pop();
     (void)peer.make_message(now);

@@ -31,13 +31,17 @@ struct SyncConfig {
 
   /// Smoothing of Algorithm 4's slave correction. The paper's pseudocode
   /// applies the raw SyncAdjustTimeDelta every frame, but the estimate of
-  /// the master's progress jitters with the send-batching phase (±10 ms
-  /// for a 20 ms flush period); applied raw, that jitter would show up
-  /// directly as slave frame-time deviation — contradicting the paper's
-  /// own Figure 1 (deviation ≈ 0 below 90 ms RTT), so their implementation
-  /// necessarily smooths too ("the slave site can smooth out the deviation
-  /// within only a few frames", §3.2). We fold in a fraction per frame
-  /// (geometric convergence) and ignore corrections inside a deadband.
+  /// the master's progress is noisy: the RTT/2 term stands in for a
+  /// one-way delay that queueing skews either way, RTT samples vary, and
+  /// a real thread wakes up late by up to a millisecond or more. (The
+  /// send-batching phase does not add to it: messages carry their input's
+  /// age.) Applied raw, that noise would show up directly as slave
+  /// frame-time deviation — contradicting the paper's own Figure 1
+  /// (deviation ≈ 0 below 90 ms RTT), so their implementation necessarily
+  /// smooths too ("the slave site can smooth out the deviation within only
+  /// a few frames", §3.2). We fold in a fraction per frame (geometric
+  /// convergence) and ignore corrections inside a deadband, which is what
+  /// bounds the remaining inter-site synchrony (~4 ms, FIG2).
   /// Set gain=1, deadband=0 to run the literal pseudocode.
   double rate_sync_gain = 0.15;
   Dur rate_sync_deadband = milliseconds(4);
@@ -136,8 +140,9 @@ struct SyncConfig {
 /// Wire protocol version (checked in the session handshake). v2 added the
 /// RTT advert / adaptive-lag negotiation fields to HELLO and START; v3
 /// added the START flags byte carrying the negotiated state-digest
-/// version. Older peers are rejected (START changed shape in v3, and the
-/// v2 lag semantics were already incompatible with v1).
-inline constexpr std::uint32_t kProtocolVersion = 3;
+/// version; v4 added SYNC's input age and shrank its site field to one
+/// byte. Older peers are rejected (SYNC changed shape in v4, START in v3,
+/// and the v2 lag semantics were already incompatible with v1).
+inline constexpr std::uint32_t kProtocolVersion = 4;
 
 }  // namespace rtct::core

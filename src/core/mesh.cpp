@@ -20,11 +20,12 @@ MeshSyncPeer::MeshSyncPeer(SiteId my_site, int num_sites, SyncConfig cfg)
   }
 }
 
-void MeshSyncPeer::submit_local(FrameNo frame, InputWord partial) {
+void MeshSyncPeer::submit_local(FrameNo frame, InputWord partial, Time frame_start) {
   const FrameNo lag_frame = frame + cfg_.buf_frames;
   if (last_rcv_[my_site_] < lag_frame) {
     ibuf_.put(my_site_, lag_frame, partial);
     last_rcv_[my_site_] = lag_frame;
+    newest_input_start_ = frame_start;
   }
 }
 
@@ -69,6 +70,7 @@ std::optional<SyncMsg> MeshSyncPeer::make_message(SiteId peer, Time now) {
     msg.echo_time = ps.last_send_time;
     msg.echo_hold = now - ps.last_recv_time;
   }
+  stamp_input_age(msg, last, newest_input_start_, now);
   if (latest_own_.frame >= 0) {
     msg.hash_frame = latest_own_.frame;
     msg.state_hash = latest_own_.hash;
@@ -104,7 +106,7 @@ void MeshSyncPeer::ingest(const SyncMsg& msg, Time recv_time) {
     if (advanced > last_rcv_[from]) {
       last_rcv_[from] = advanced;
       if (from == kMasterSite) {
-        master_advance_time_ = recv_time;
+        master_advance_time_ = observed_input_time(msg, advanced, recv_time);
         seen_master_ = true;
       }
     }
@@ -115,7 +117,9 @@ void MeshSyncPeer::ingest(const SyncMsg& msg, Time recv_time) {
     ibuf_.trim_below(std::min(pointer_, min_acked() + 1));
   }
 
-  if (msg.echo_time >= 0) {
+  // An echo from after recv_time could only give a negative sample, and a
+  // forged one would overflow the subtraction below.
+  if (msg.echo_time >= 0 && msg.echo_time <= recv_time) {
     const Dur sample = recv_time - msg.echo_time - msg.echo_hold;
     if (sample >= 0) {
       ps.rtt.sample(sample);

@@ -40,8 +40,9 @@ class MeshSyncPeer {
   /// the input word (SET[k] = site_input_mask_n).
   MeshSyncPeer(SiteId my_site, int num_sites, SyncConfig cfg);
 
-  /// Buffers the local partial input for frame + BufFrame (lines 1-5).
-  void submit_local(FrameNo frame, InputWord partial);
+  /// Buffers the local partial input for frame + BufFrame (lines 1-5);
+  /// `frame_start` is when frame `frame` began (see SyncPeer::submit_local).
+  void submit_local(FrameNo frame, InputWord partial, Time frame_start);
 
   /// Outbound message for one specific peer; nullopt when that peer needs
   /// nothing. Call for each peer on every flush tick.
@@ -95,6 +96,7 @@ class MeshSyncPeer {
   std::vector<FrameNo> last_rcv_;   ///< per site, including self
   std::vector<PeerState> peers_;    ///< indexed by site (self unused)
   FrameNo pointer_ = 0;
+  Time newest_input_start_ = -1;  ///< frame start behind last_rcv_[my_site_]
 
   // Master observation for Algorithm 4 (slaves only).
   Time master_advance_time_ = 0;

@@ -18,10 +18,11 @@ void FramePacer::begin_frame(Time now, FrameNo current_frame, const SyncPeer::Re
     // MasterFrame = LastRcvFrame[0] - BufFrame: the received frame number
     // already includes the lag the master stamped onto it (line 6).
     const FrameNo master_frame = obs.last_rcv_frame - obs.lag_frames;
-    // t = MasterRcvTime - RTT/2 estimates when the master *sent* that
-    // frame's input; extrapolate its frame at local-now and diff (line 7).
-    const Time master_sent = obs.rcv_time - obs.rtt / 2;
-    const Dur raw = (current_frame - master_frame) * tpf - (now - master_sent);
+    // t = MasterRcvTime - RTT/2 estimates when the master *began* that
+    // frame (rcv_time is already moved back by the input's age in the send
+    // buffer); extrapolate its frame at local-now and diff (line 7).
+    const Time master_began = obs.rcv_time - obs.rtt / 2;
+    const Dur raw = (current_frame - master_frame) * tpf - (now - master_began);
     // Smoothed application (see SyncConfig::rate_sync_gain): ignore noise
     // inside the deadband, correct a fraction of real skew per frame.
     if (raw > cfg_.rate_sync_deadband || raw < -cfg_.rate_sync_deadband) {

@@ -14,6 +14,14 @@
 //    difference into AdjustTimeDelta. Whichever site started earlier, the
 //    *slave* absorbs the skew; without this, the earlier site oscillates
 //    (shown by bench/ablation_pacing).
+//
+//    One departure from the paper's pseudocode: its MasterRcvTime - RTT/2
+//    is when the *flush* carrying the master's input left, which is up to
+//    a flush period (20 ms) after that input's frame began, so a literal
+//    slave trails its master by about half a flush period. Sync messages
+//    carry their newest input's age (SyncMsg::input_age_us) and the engine
+//    moves MasterRcvTime back by it, so RemoteObs::rcv_time - RTT/2 is the
+//    master's frame start itself.
 #pragma once
 
 #include "src/common/time.h"
@@ -40,7 +48,8 @@ class FramePacer {
   /// Frame; `obs` is the slave's freshest view of the master (ignored on
   /// the master, where SyncAdjustTimeDelta is defined to be zero). Its
   /// BufFrame is `obs.lag_frames`, the lag the sync engine stamps onto
-  /// inputs; the pacer keeps no lag of its own.
+  /// inputs, and its `rcv_time` already excludes the time the input waited
+  /// for its flush; the pacer keeps no lag or age of its own.
   void begin_frame(Time now, FrameNo current_frame, const SyncPeer::RemoteObs& obs);
 
   /// Algorithm 3 (EndFrameTiming). Returns how long the caller should

@@ -229,7 +229,7 @@ bool RealtimeSession::run(std::string* error) {
 
     const InputWord local = site_ == 0 ? make_input(input_.input_for_frame(frame), 0)
                                        : make_input(0, input_.input_for_frame(frame));
-    peer_.submit_local(frame, local);
+    peer_.submit_local(frame, local, rec.begin_time);
 
     // SyncInput's blocking loop: flush on schedule, wake on datagrams.
     const Time sync_start = now();
@@ -342,7 +342,7 @@ bool RealtimeSession::run_rollback(std::string* error) {
     rec.stall = now() - sync_start;
     rec.input_ready_time = now();
 
-    const auto out = rb.advance_frame(local);
+    const auto out = rb.advance_frame(local, rec.begin_time);
     // Speculative digest for now; backfilled with the canonical confirmed
     // digest after the confirmation drain below.
     rec.state_hash = out.digest;

@@ -47,10 +47,12 @@ void RollbackSession::execute_frame(FrameNo f) {
   s.remote_actual = have_remote;
 }
 
-RollbackSession::FrameOutcome RollbackSession::advance_frame(InputWord local_input) {
+RollbackSession::FrameOutcome RollbackSession::advance_frame(InputWord local_input,
+                                                             Time frame_start) {
   const FrameNo f = executed_;
   ibuf_.put(my_site_, f + delay_, site_bits(local_input, my_site_));
   local_top_ = f + delay_;
+  local_top_start_ = frame_start;
   reconcile();
   execute_frame(f);
   ++executed_;
@@ -166,6 +168,7 @@ std::optional<SyncMsg> RollbackSession::make_message(Time now) {
     m.echo_time = last_peer_send_time_;
     m.echo_hold = now - last_peer_recv_time_;
   }
+  stamp_input_age(m, local_top_, local_top_start_, now);
   if (latest_own_.frame >= 0) {
     m.hash_frame = latest_own_.frame;
     m.state_hash = latest_own_.hash;
@@ -184,7 +187,9 @@ void RollbackSession::ingest(const SyncMsg& msg, Time recv_time) {
   ++stats_.messages_ingested;
 
   // RTT estimation: echoed timestamp minus the peer's hold time.
-  if (msg.echo_time >= 0) {
+  // An echo from after recv_time could only give a negative sample, and a
+  // forged one would overflow the subtraction below.
+  if (msg.echo_time >= 0 && msg.echo_time <= recv_time) {
     const Dur sample = recv_time - msg.echo_time - msg.echo_hold;
     if (sample >= 0) {
       rtt_.sample(sample);
@@ -211,7 +216,7 @@ void RollbackSession::ingest(const SyncMsg& msg, Time recv_time) {
   }
   if (advanced) {
     seen_remote_ = true;
-    remote_advance_time_ = recv_time;
+    remote_advance_time_ = observed_input_time(msg, remote_contig_, recv_time);
   }
 
   if (msg.hash_frame >= 0) check_remote_hash(msg.hash_frame, msg.state_hash);

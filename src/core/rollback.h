@@ -93,8 +93,10 @@ class RollbackSession {
   /// input for frame `current_frame() + delay`, reconciles any newly
   /// arrived remote inputs (rolling back if a prediction proved wrong),
   /// then executes the next frame speculatively and snapshots it.
+  /// `frame_start` is the local time this frame began; the message that
+  /// carries the input stamps its age from it (SyncMsg::input_age_us).
   /// Pre: can_advance().
-  FrameOutcome advance_frame(InputWord local_input);
+  FrameOutcome advance_frame(InputWord local_input, Time frame_start);
 
   /// Applies newly arrived remote inputs without executing a new frame:
   /// verifies predictions, rolls back and re-simulates on the first
@@ -147,8 +149,8 @@ class RollbackSession {
 
   // ---- observability ------------------------------------------------------
   /// Remote-progress observation for Algorithm 4's pacer, shaped exactly
-  /// like SyncPeer's (the confirmed remote watermark stands in for
-  /// LastRcvFrame).
+  /// like SyncPeer's (the contiguous actual remote watermark stands in for
+  /// LastRcvFrame, its age-corrected arrival time for MasterRcvTime).
   [[nodiscard]] SyncPeer::RemoteObs remote_obs() const;
   [[nodiscard]] Dur rtt() const { return rtt_.srtt(); }
   [[nodiscard]] bool has_rtt_sample() const { return rtt_.has_sample(); }
@@ -203,6 +205,7 @@ class RollbackSession {
   FrameNo executed_ = 0;   ///< next frame to execute
   FrameNo confirmed_ = 0;  ///< next frame to confirm
   FrameNo local_top_ = -1;     ///< highest local input frame buffered
+  Time local_top_start_ = -1;  ///< when the frame that produced it began
   FrameNo remote_contig_ = -1; ///< highest contiguous actual remote frame
 
   // Transport state (mirrors SyncPeer).

@@ -102,7 +102,9 @@ void SessionControl::ingest(const Message& msg, Time now) {
     if (first_compat_hello_ < 0) first_compat_hello_ = now;
 
     // RTT probe: the peer echoed one of our hello_times.
-    if (hello->echo_time >= 0) {
+    // An echo from after now could only give a negative sample, and a
+    // forged one would overflow the subtraction below.
+    if (hello->echo_time >= 0 && hello->echo_time <= now) {
       const Dur sample = now - hello->echo_time - hello->echo_hold;
       if (sample >= 0) rtt_.sample(sample);
     }

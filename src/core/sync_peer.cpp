@@ -56,11 +56,12 @@ Dur SyncPeer::current_rto() const {
   return std::min(base * rto_backoff_, cfg_.max_rto);
 }
 
-void SyncPeer::submit_local(FrameNo frame, InputWord local_input) {
+void SyncPeer::submit_local(FrameNo frame, InputWord local_input, Time frame_start) {
   const FrameNo lag_frame = frame + cfg_.buf_frames;  // line 1: LagF
   if (last_rcv_frame_[my_site_] < lag_frame) {        // lines 2-5
     ibuf_.put(my_site_, lag_frame, local_input);
     last_rcv_frame_[my_site_] = lag_frame;
+    newest_input_start_ = frame_start;
   }
 }
 
@@ -139,6 +140,7 @@ std::optional<SyncMsg> SyncPeer::make_message(Time now) {
     msg.echo_time = last_peer_send_time_;
     msg.echo_hold = now - last_peer_recv_time_;
   }
+  stamp_input_age(msg, last, newest_input_start_, now);
   if (latest_own_.frame >= 0) {
     msg.hash_frame = latest_own_.frame;
     msg.state_hash = latest_own_.hash;
@@ -175,7 +177,8 @@ void SyncPeer::ingest(const SyncMsg& msg, Time recv_time) {
     while (ibuf_.has(rm_site_, advanced + 1)) ++advanced;
     if (advanced > last_rcv_frame_[rm_site_]) {
       last_rcv_frame_[rm_site_] = advanced;
-      remote_advance_time_ = recv_time;  // "MasterRcvTime" for Algorithm 4
+      // "MasterRcvTime" for Algorithm 4, less the input's stamped age.
+      remote_advance_time_ = observed_input_time(msg, advanced, recv_time);
       seen_remote_ = true;
     }
   }
@@ -197,7 +200,9 @@ void SyncPeer::ingest(const SyncMsg& msg, Time recv_time) {
   // RTT sample from echoed timestamps. A 0 ns sample (loopback) is a real
   // measurement: the estimator keeps has-sample state explicitly instead
   // of the old `rtt == 0` sentinel that re-seeded forever on fast links.
-  if (msg.echo_time >= 0) {
+  // An echo from after recv_time could only give a negative sample, and a
+  // forged one would overflow the subtraction below.
+  if (msg.echo_time >= 0 && msg.echo_time <= recv_time) {
     const Dur sample = recv_time - msg.echo_time - msg.echo_hold;
     if (sample >= 0) {
       rtt_.sample(sample);

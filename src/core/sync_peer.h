@@ -5,7 +5,7 @@
 // send/receive loop. Factoring the state out of that loop gives four pure
 // operations a driver composes:
 //
-//   submit_local(F, I)  — lines 1-5: buffer local input for frame F+BufFrame
+//   submit_local(F,I,t) — lines 1-5: buffer local input for frame F+BufFrame
 //   make_message(now)   — lines 7-11: the outbound sd[] message (cumulative
 //                         ack + unacked contiguous input window); nullopt
 //                         when the peer needs nothing from us
@@ -77,8 +77,10 @@ class SyncPeer {
 
   // ---- Algorithm 2, lines 1-5 ------------------------------------------
   /// Buffers the local partial input for display frame `frame + BufFrame`.
+  /// `frame_start` is the local time frame `frame` began; the message that
+  /// carries this input stamps its age from it (SyncMsg::input_age_us).
   /// Call exactly once per local frame, in order.
-  void submit_local(FrameNo frame, InputWord local_input);
+  void submit_local(FrameNo frame, InputWord local_input, Time frame_start);
 
   // ---- Algorithm 2, lines 7-11 -----------------------------------------
   /// Builds the next outbound message: cumulative ack + all local inputs
@@ -89,7 +91,8 @@ class SyncPeer {
 
   // ---- Algorithm 2, lines 12-20 ----------------------------------------
   /// Merges a received sync message; `recv_time` is the local receive
-  /// timestamp (feeds MasterRcvTime and the RTT estimator).
+  /// timestamp (feeds MasterRcvTime, less the message's input age, and the
+  /// RTT estimator).
   void ingest(const SyncMsg& msg, Time recv_time);
 
   // ---- Algorithm 2, lines 21-23 ----------------------------------------
@@ -136,8 +139,12 @@ class SyncPeer {
   [[nodiscard]] Dur current_rto() const;
 
   /// Observation of the remote site's progress for Algorithm 4:
-  /// LastRcvFrame[remote] and the local arrival time of the message that
-  /// advanced it ("MasterRcvTime"). `lag_frames` is the input lag the
+  /// LastRcvFrame[remote] and "MasterRcvTime" (`rcv_time`): the local
+  /// arrival time of the message that advanced it, moved back by the age
+  /// the sender stamped on that input (observed_input_time), so
+  /// `rcv_time - rtt/2` estimates when the remote frame that produced
+  /// LastRcvFrame began rather than when its flush left. Unstamped
+  /// observations keep the plain arrival time. `lag_frames` is the input lag the
   /// remote site stamped onto that input ("BufFrame": the negotiated local
   /// lag in lockstep, the input delay in rollback), filled by the engine
   /// that owns it so the pacer never keeps a copy that could disagree.
@@ -175,6 +182,8 @@ class SyncPeer {
   FrameNo ack_sent_ = -1;
   /// Highest local input frame ever sent (to count retransmissions).
   FrameNo highest_sent_ = -1;
+  /// When the frame that produced LastRcvFrame[MySiteNo] began (-1 none).
+  Time newest_input_start_ = -1;
 
   // RTT estimation (echoed timestamps).
   Time last_peer_send_time_ = -1;  ///< newest send_time seen from the peer

@@ -1,6 +1,7 @@
 #include "src/core/wire.h"
 
 #include "src/common/bytes.h"
+#include "src/core/input_buffer.h"
 
 namespace rtct::core {
 
@@ -78,7 +79,7 @@ void encode_message_into(const Message& msg, std::vector<std::uint8_t>& out) {
     w.u8(start->flags);
   } else if (const auto* sync = std::get_if<SyncMsg>(&msg)) {
     w.u8(static_cast<std::uint8_t>(MsgType::kSync));
-    w.i32(sync->site);
+    w.u8(static_cast<std::uint8_t>(sync->site));
     w.i64(sync->ack_frame);
     w.i64(sync->first_frame);
     w.u32(static_cast<std::uint32_t>(sync->inputs.size()));
@@ -86,6 +87,7 @@ void encode_message_into(const Message& msg, std::vector<std::uint8_t>& out) {
     w.i64(sync->send_time);
     w.i64(sync->echo_time);
     w.i64(sync->echo_hold);
+    w.u16(sync->input_age_us);
     w.i64(sync->hash_frame);
     w.u64(sync->state_hash);
   } else if (const auto* join = std::get_if<JoinRequestMsg>(&msg)) {
@@ -142,7 +144,7 @@ std::optional<Message> decode_message(std::span<const std::uint8_t> data) {
     }
     case MsgType::kSync: {
       SyncMsg m;
-      m.site = r.i32();
+      m.site = r.u8();
       m.ack_frame = r.i64();
       m.first_frame = r.i64();
       const std::uint32_t n = r.u32();
@@ -156,9 +158,11 @@ std::optional<Message> decode_message(std::span<const std::uint8_t> data) {
       m.send_time = r.i64();
       m.echo_time = r.i64();
       m.echo_hold = r.i64();
+      m.input_age_us = r.u16();  // any value: an age, or kNoInputAge
       m.hash_frame = r.i64();
       m.state_hash = r.u64();
       if (!r.ok() || !r.at_end()) return std::nullopt;
+      if (m.site >= InputBuffer::kMaxSites) return std::nullopt;
       if (!frame_in_range(m.first_frame) || !frame_in_range(m.ack_frame, -1) ||
           !frame_in_range(m.hash_frame, -1) || !time_in_range(m.send_time) ||
           !time_in_range(m.echo_time, -1) || !time_in_range(m.echo_hold)) {

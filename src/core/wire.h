@@ -5,7 +5,9 @@
 // partial inputs the peer has not acknowledged — extended with three
 // timestamp fields that implement the RTT estimation Algorithm 4 needs
 // (the paper measures RTT but does not spell out how; we use the standard
-// echo + hold-time scheme, e.g. TCP RFC 7323 style).
+// echo + hold-time scheme, e.g. TCP RFC 7323 style), plus the age of the
+// newest input carried, so the slave can tell the master's frame start
+// from the flush that carried its input.
 //
 // All encoding is explicit little-endian through ByteWriter/ByteReader;
 // decode() treats input as untrusted network bytes and returns nullopt on
@@ -68,9 +70,15 @@ struct StartMsg {
   std::uint8_t flags = 0;  ///< kFlag* bits the session runs with
 };
 
+/// SyncMsg::input_age_us: "this message does not carry the sender's
+/// newest input" (ack-only or window-capped). Every other value is an age.
+inline constexpr std::uint16_t kNoInputAge = 0xFFFF;
+/// Ages at or above this many µs (65.5 ms) are sent as this value.
+inline constexpr std::uint16_t kMaxInputAge = 0xFFFE;
+
 /// One flush of the sync module (Algorithm 2 lines 7-11).
 struct SyncMsg {
-  SiteId site = 0;        ///< sender
+  SiteId site = 0;        ///< sender (one byte on the wire: 0..7)
   FrameNo ack_frame = 0;  ///< sd[0]: LastRcvFrame[RmSiteNo] — cumulative ack
   FrameNo first_frame = 0;  ///< sd[1]: first input frame in `inputs`
   /// Partial inputs for frames first_frame .. first_frame+inputs.size()-1
@@ -81,6 +89,11 @@ struct SyncMsg {
   Time send_time = 0;   ///< sender's clock when this message was sent
   Time echo_time = -1;  ///< most recent send_time received from the peer
   Dur echo_hold = 0;    ///< how long the sender held that echo before now
+  /// v4: how long before send_time the frame that produced the sender's
+  /// newest input began, in µs (see stamp_input_age). Algorithm 4's slave
+  /// subtracts it so it aligns to the master's frame start, not to the
+  /// flush that happened to carry the input.
+  std::uint16_t input_age_us = kNoInputAge;
 
   // Desync detection: the sender's state hash after executing hash_frame
   // (-1 = none attached). Receivers compare against their own hash for the
@@ -92,6 +105,31 @@ struct SyncMsg {
     return first_frame + static_cast<FrameNo>(inputs.size()) - 1;
   }
 };
+
+/// Sender half of the input-age stamp. `newest` is the highest local input
+/// frame buffered and `newest_start` the local time the frame that produced
+/// it began (-1: none yet). The stamp goes only on a message that carries
+/// that input; ack-only and window-capped messages keep kNoInputAge.
+inline void stamp_input_age(SyncMsg& msg, FrameNo newest, Time newest_start, Time now) {
+  if (msg.inputs.empty() || msg.last_frame() != newest || newest_start < 0) return;
+  const Dur age_us = (now - newest_start) / kMicrosecond;
+  msg.input_age_us = static_cast<std::uint16_t>(
+      age_us < 0 ? 0 : age_us > kMaxInputAge ? kMaxInputAge : age_us);
+}
+
+/// Receiver half: the arrival time Algorithm 4 should observe for the
+/// remote watermark `watermark` that `msg` just advanced to. When the
+/// watermark lands on the message's stamped newest input this is the
+/// arrival time moved back by the input's age, i.e. when the message would
+/// have arrived had it left as the sender's frame began; otherwise the
+/// plain arrival time.
+inline Time observed_input_time(const SyncMsg& msg, FrameNo watermark, Time recv_time) {
+  if (msg.input_age_us == kNoInputAge || msg.inputs.empty() ||
+      watermark != msg.last_frame()) {
+    return recv_time;
+  }
+  return recv_time - Dur{msg.input_age_us} * kMicrosecond;
+}
 
 // ---- spectator / late-join extension ---------------------------------------
 // The ICDCS paper's §6 defers "how to support multiple players and

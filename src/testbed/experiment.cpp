@@ -338,7 +338,7 @@ class SimSite {
         rec.stall = sim_.now() - sync_start;
         rec.input_ready_time = sim_.now();
 
-        const auto out = rb.advance_frame(local);
+        const auto out = rb.advance_frame(local, rec.begin_time);
         // Speculative digest for now; the canonical confirmed digests are
         // backfilled over the timeline after the run.
         rec.state_hash = out.digest;
@@ -390,7 +390,7 @@ class SimSite {
       const InputWord local =
           site_ == 0 ? make_input(input_.input_for_frame(frame), 0)
                      : make_input(0, input_.input_for_frame(frame));
-      peer_.submit_local(frame, local);  // step 7, lines 1-5
+      peer_.submit_local(frame, local, rec.begin_time);  // step 7, lines 1-5
 
       const Time sync_start = sim_.now();  // step 7, the blocking loop
       while (!peer_.ready()) {

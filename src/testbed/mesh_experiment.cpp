@@ -80,18 +80,26 @@ class MeshSite {
 
   sim::Task run_sender(MeshFlags* flags) {
     while (!flags->all_done()) {
+      // A flush builds every peer's message at one instant, then hands the
+      // batch to the sender thread: one handoff per flush, not per peer.
+      // A message built after the handoff but stamped `now` would claim a
+      // negative echo_hold whenever that peer's datagram arrived during
+      // it (the decoder drops such a message as malformed), and a negative
+      // age for any input the frame loop submitted meanwhile.
       const Time now = sim_.now();
-      bool dispatched = false;
+      flush_batch_.clear();
       for (SiteId s = 0; s < cfg_.num_sites; ++s) {
         if (endpoints_[s] == nullptr) continue;
         if (auto msg = peer_.make_message(s, now)) {
-          if (!dispatched && cfg_.sync.send_dispatch_delay > 0) {
-            co_await sim_.sleep(cfg_.sync.send_dispatch_delay);
-            dispatched = true;  // one thread handoff per flush, not per peer
-          }
-          core::encode_message_into(core::Message{*msg}, wire_scratch_);
-          endpoints_[s]->send(wire_scratch_);
+          flush_batch_.emplace_back(s, std::move(*msg));
         }
+      }
+      if (!flush_batch_.empty() && cfg_.sync.send_dispatch_delay > 0) {
+        co_await sim_.sleep(cfg_.sync.send_dispatch_delay);
+      }
+      for (auto& [s, msg] : flush_batch_) {
+        core::encode_message_into(core::Message{std::move(msg)}, wire_scratch_);
+        endpoints_[s]->send(wire_scratch_);
       }
       co_await sim_.sleep(cfg_.sync.send_flush_period);
     }
@@ -112,7 +120,7 @@ class MeshSite {
       const InputWord partial = pack_player_bits_n(
           static_cast<std::uint8_t>(input_.input_for_frame(frame) & 0xF), site_,
           cfg_.num_sites);
-      peer_.submit_local(frame, partial);
+      peer_.submit_local(frame, partial, rec.begin_time);
 
       const Time sync_start = sim_.now();
       while (!peer_.ready()) {
@@ -153,6 +161,7 @@ class MeshSite {
   sim::Trigger state_changed_;
   std::vector<net::SimEndpoint*> endpoints_;
   std::vector<std::uint8_t> wire_scratch_;  ///< reused encode buffer
+  std::vector<std::pair<SiteId, core::SyncMsg>> flush_batch_;  ///< one flush's messages
   MeshSiteResult result_;
 };
 

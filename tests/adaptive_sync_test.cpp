@@ -116,7 +116,8 @@ TEST_P(AdaptiveSyncSweepTest, LockstepSurvivesAndProgresses) {
       if (submitted[s] < kFrames && peer.pointer() == submitted[s]) {
         peer.submit_local(submitted[s],
                           s == 0 ? make_input(script[0][submitted[s]], 0)
-                                 : make_input(0, script[1][submitted[s]]));
+                                 : make_input(0, script[1][submitted[s]]),
+                          now);
         ++submitted[s];
       }
       if (delivered[s].size() < kFrames && peer.ready() && peer.pointer() < submitted[s]) {

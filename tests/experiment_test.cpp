@@ -134,6 +134,22 @@ TEST(ExperimentTest, RollbackSlaveBeginsFramesWithinAPeriodOfTheMaster) {
   EXPECT_LT(r.synchrony_ms(), period_ms);
 }
 
+TEST(ExperimentTest, LockstepSlaveAlignsToTheMastersFrameStart) {
+  // Regression: Algorithm 4 took MasterRcvTime - RTT/2 as the start of the
+  // master's frame, but it is when the flush carrying that frame's input
+  // left, 0-20 ms later. The slave trailed by about half a flush period
+  // (synchrony 11.0 ms here) and kept correcting the wobble (devFT 0.47
+  // ms). With the input's age on the message it lines up with the master
+  // to within the rate-sync deadband and paces as smoothly as the master.
+  ExperimentConfig cfg = quick(1200);
+  cfg.set_rtt(milliseconds(50));
+  const auto r = run_experiment(cfg);
+  ASSERT_TRUE(r.converged());
+  EXPECT_LT(r.synchrony_ms(), 5.0);
+  EXPECT_LT(r.frame_time_deviation_ms(1), 0.1);
+  EXPECT_NEAR(r.avg_frame_time_ms(1), 16.667, 0.05);
+}
+
 TEST(ExperimentTest, SlowdownBeyondThreshold) {
   ExperimentConfig cfg = quick(600);
   cfg.set_rtt(milliseconds(300));

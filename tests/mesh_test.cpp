@@ -20,7 +20,7 @@ TEST(MeshPeerTest, FourSiteLockstepOverInstantChannels) {
   for (FrameNo f = 0; f < 30; ++f) {
     for (SiteId s = 0; s < 4; ++s) {
       peers[s].submit_local(
-          f, pack_player_bits_n(static_cast<std::uint8_t>((f + s) & 0xF), s, 4));
+          f, pack_player_bits_n(static_cast<std::uint8_t>((f + s) & 0xF), s, 4), f);
     }
     // Full-mesh exchange.
     for (SiteId from = 0; from < 4; ++from) {
@@ -49,8 +49,8 @@ TEST(MeshPeerTest, NotReadyUntilEveryPeerArrives) {
   MeshSyncPeer others[3] = {MeshSyncPeer(1, 4, cfgm()), MeshSyncPeer(2, 4, cfgm()),
                             MeshSyncPeer(3, 4, cfgm())};
   for (FrameNo f = 0; f < 7; ++f) {
-    a.submit_local(f, 0);
-    for (auto& o : others) o.submit_local(f, 0);
+    a.submit_local(f, 0, 0);
+    for (auto& o : others) o.submit_local(f, 0, 0);
   }
   for (FrameNo f = 0; f < 6; ++f) (void)a.pop();
   EXPECT_FALSE(a.ready());
@@ -121,7 +121,7 @@ TEST(MeshPeerTest, GappedMasterWindowDoesNotMarkMasterSeen) {
 
 TEST(MeshPeerTest, ExportMetricsPublishesSyncAndPeerGauges) {
   MeshSyncPeer a(0, 4, cfgm());
-  for (FrameNo f = 0; f < 3; ++f) a.submit_local(f, 0);
+  for (FrameNo f = 0; f < 3; ++f) a.submit_local(f, 0, 0);
   SyncMsg m;
   m.site = 2;
   m.ack_frame = 5;
@@ -140,7 +140,7 @@ TEST(MeshPeerTest, ExportMetricsPublishesSyncAndPeerGauges) {
 
 TEST(MeshPeerTest, PerPeerAcksTrimIndependently) {
   MeshSyncPeer a(0, 4, cfgm());
-  for (FrameNo f = 0; f < 5; ++f) a.submit_local(f, 0);
+  for (FrameNo f = 0; f < 5; ++f) a.submit_local(f, 0, 0);
   // Peer 1 acks everything; peers 2,3 ack nothing: the window to peer 1
   // empties, the others still get the full resend.
   SyncMsg ack;
@@ -172,8 +172,8 @@ TEST(MeshPeerTest, TwoSiteMeshMatchesPairBehaviour) {
   MeshSyncPeer a(0, 2, cfgm());
   MeshSyncPeer b(1, 2, cfgm());
   for (FrameNo f = 0; f < 12; ++f) {
-    a.submit_local(f, make_input(static_cast<std::uint8_t>(f + 1), 0));
-    b.submit_local(f, make_input(0, static_cast<std::uint8_t>(f + 51)));
+    a.submit_local(f, make_input(static_cast<std::uint8_t>(f + 1), 0), 0);
+    b.submit_local(f, make_input(0, static_cast<std::uint8_t>(f + 51)), 0);
     if (auto m = a.make_message(1, f)) b.ingest(*m, f);
     if (auto m = b.make_message(0, f)) a.ingest(*m, f);
     ASSERT_TRUE(a.ready());
@@ -192,11 +192,22 @@ TEST(MeshPeerTest, MasterObsOnlyValidForSlaves) {
   MeshSyncPeer slave(2, 4, cfgm());
   EXPECT_FALSE(master.master_obs().valid);
   EXPECT_FALSE(slave.master_obs().valid);
-  master.submit_local(0, 0);
+  master.submit_local(0, 0, 0);
   if (auto m = master.make_message(2, 0)) slave.ingest(*m, milliseconds(42));
   EXPECT_TRUE(slave.master_obs().valid);
   EXPECT_EQ(slave.master_obs().rcv_time, milliseconds(42));
   EXPECT_EQ(slave.master_obs().last_rcv_frame, 6);
+}
+
+TEST(MeshPeerTest, MasterObsMovesBackByTheInputAge) {
+  MeshSyncPeer master(0, 4, cfgm());
+  MeshSyncPeer slave(3, 4, cfgm());
+  master.submit_local(0, 0, milliseconds(10));
+  const auto m = master.make_message(3, milliseconds(25));
+  ASSERT_TRUE(m);
+  EXPECT_EQ(m->input_age_us, 15'000);
+  slave.ingest(*m, milliseconds(42));
+  EXPECT_EQ(slave.master_obs().rcv_time, milliseconds(27));
 }
 
 // ---- property: 4-site lockstep under a hostile mesh -----------------------------
@@ -235,8 +246,8 @@ TEST(MeshPeerTest, LockstepInvariantUnderLossyMesh) {
     for (SiteId s = 0; s < kN; ++s) {
       auto& p = peers[s];
       if (submitted[s] < kFrames && p.pointer() == submitted[s]) {
-        p.submit_local(submitted[s], pack_player_bits_n(
-                                         static_cast<std::uint8_t>(rng.next_u64() & 0xF), s, kN));
+        const auto bits = static_cast<std::uint8_t>(rng.next_u64() & 0xF);
+        p.submit_local(submitted[s], pack_player_bits_n(bits, s, kN), now);
         ++submitted[s];
       }
       if (delivered[s].size() < static_cast<std::size_t>(kFrames) && p.ready() &&
@@ -291,6 +302,25 @@ TEST(MeshExperimentTest, FourPlayersConvergeAtFullSpeed) {
     EXPECT_NEAR(r.avg_frame_time_ms(s), 16.667, 0.4) << "site " << s;
   }
   EXPECT_LT(r.worst_synchrony_ms(), 15.0);
+}
+
+TEST(MeshExperimentTest, EightSitesPaceSmoothlyAtModerateRtt) {
+  // Regression: the sender built only the first peer's message before its
+  // dispatch sleep and the rest after it, stamped with the pre-sleep time.
+  // A peer datagram arriving during the sleep made those messages'
+  // echo_hold negative, the decoder dropped them, and an 8-site mesh at
+  // 60 ms RTT paced in a stall/burst cycle (worst deviation 18 ms).
+  MeshExperimentConfig cfg;
+  cfg.num_sites = 8;
+  cfg.frames = 600;
+  cfg.net = net::NetemConfig::for_rtt(milliseconds(60));
+  cfg.net.jitter = milliseconds(2);  // arrivals land inside the dispatch sleep
+  const auto r = run_mesh_experiment(cfg);
+  ASSERT_TRUE(r.converged());
+  for (int s = 0; s < 8; ++s) {
+    EXPECT_LT(r.frame_time_deviation_ms(s), 2.0) << "site " << s;
+    EXPECT_NEAR(r.avg_frame_time_ms(s), 16.667, 0.3) << "site " << s;  // boot catch-up
+  }
 }
 
 TEST(MeshExperimentTest, SurvivesLossAndJitterAcrossTheMesh) {

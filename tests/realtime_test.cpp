@@ -176,13 +176,16 @@ TEST(RealtimeTest, LockstepPacingBlocksInsteadOfSpinning) { expect_no_spin(false
 
 TEST(RealtimeTest, RollbackPacingBlocksInsteadOfSpinning) { expect_no_spin(true); }
 
-// Regression: the pacer subtracted its own buf_frames (6) from the master's
-// last received frame, while rollback inputs carry the input delay (2), so
-// the rollback slave began every frame ~4 frames (~67 ms) after the master.
-// With the lag taken from the engine, the two sites' frame starts sit
-// within a frame period of each other (median over the paced frames, so a
-// noisy scheduler's outliers do not decide it).
-TEST(RealtimeTest, RollbackSlaveFrameStartsTrackTheMaster) {
+// Regressions: (1) the pacer subtracted its own buf_frames (6) from the
+// master's last received frame, while rollback inputs carry the input delay
+// (2), so the rollback slave began every frame ~4 frames (~67 ms) after the
+// master. (2) Algorithm 4 took the arrival of the flush carrying the
+// master's input as the moment its frame began, so every slave trailed by
+// about half a flush period (~9.6 ms). With the lag from the engine and the
+// input's age on the message, the two sites' frame starts sit within the
+// rate-sync deadband (4 ms) of each other (median over the paced frames, so
+// a noisy scheduler's outliers do not decide it).
+void expect_slave_tracks_master(bool rollback) {
   constexpr int kFrames = 180;
   constexpr int kWarmup = 60;  // rate sync converges from the start skew
   auto m0 = games::make_machine("torture");
@@ -192,7 +195,7 @@ TEST(RealtimeTest, RollbackSlaveFrameStartsTrackTheMaster) {
 
   RealtimeConfig cfg;
   cfg.frames = kFrames;
-  cfg.sync.rollback = true;
+  cfg.sync.rollback = rollback;
   RealtimeSession a(0, *m0, p0, sockets.s0, cfg);
   RealtimeSession b(1, *m1, p1, sockets.s1, cfg);
 
@@ -204,14 +207,21 @@ TEST(RealtimeTest, RollbackSlaveFrameStartsTrackTheMaster) {
 
   ASSERT_TRUE(ok0) << e0;
   ASSERT_TRUE(ok1) << e1;
-  ASSERT_TRUE(a.rollback_mode());
+  ASSERT_EQ(a.rollback_mode(), rollback);
   // Both sessions' clocks start at construction, microseconds apart.
   const auto diffs = synchrony_differences(a.timeline(), b.timeline()).samples();
   ASSERT_EQ(diffs.size(), static_cast<std::size_t>(kFrames));
   std::vector<double> offsets;
   for (std::size_t f = kWarmup; f < diffs.size(); ++f) offsets.push_back(std::abs(diffs[f]));
-  EXPECT_LT(percentile(offsets, 50), 1000.0 / 60.0)
-      << "the slave trails the master by more than a frame";
+  EXPECT_LT(percentile(offsets, 50), 4.0) << "the slave trails the master";
+}
+
+TEST(RealtimeTest, RollbackSlaveFrameStartsTrackTheMaster) {
+  expect_slave_tracks_master(true);
+}
+
+TEST(RealtimeTest, LockstepSlaveFrameStartsTrackTheMaster) {
+  expect_slave_tracks_master(false);
 }
 
 // Drops the next `g_drops_left` datagrams sent on socket `g_drop_fd`

@@ -115,7 +115,7 @@ TEST(RelaySoakTest, SixtyFourConcurrentSessionsStayConsistent) {
               (site.submitted * 7 + sid * 13 + s.script.seed) & 0xFF);
           const InputWord local =
               sid == 0 ? make_input(pressed, 0) : make_input(0, pressed);
-          peer.submit_local(site.submitted, local);
+          peer.submit_local(site.submitted, local, now);
           ++site.submitted;
         }
         // Chaos: inside a loss-burst window this site's flushes are

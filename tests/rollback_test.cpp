@@ -74,8 +74,8 @@ struct Rig {
     deliver_due();
     ASSERT_TRUE(a_.can_advance());
     ASSERT_TRUE(b_.can_advance());
-    a_.advance_frame(make_input(pa, 0));
-    b_.advance_frame(make_input(0, pb));
+    a_.advance_frame(make_input(pa, 0), now_);
+    b_.advance_frame(make_input(0, pb), now_);
     flush();
   }
 
@@ -172,8 +172,8 @@ TEST(RollbackSessionTest, SpeculationStopsAtRingBoundAndResumes) {
   int steps = 0;
   while (rig.a_.can_advance() && steps < 100) {
     rig.now_ += milliseconds(16);
-    rig.a_.advance_frame(0);
-    rig.b_.advance_frame(0);
+    rig.a_.advance_frame(0, rig.now_);
+    rig.b_.advance_frame(0, rig.now_);
     rig.flush();
     ++steps;
   }
@@ -231,8 +231,8 @@ TEST(RollbackSessionTest, SurvivesLossDuplicationAndReordering) {
     ASSERT_TRUE(rig.b_.can_advance());
     const auto pa = static_cast<std::uint8_t>((f / 4) % 2 == 0 ? 0x11 : 0x00);
     const auto pb = static_cast<std::uint8_t>((f / 6) % 2 == 0 ? 0x00 : 0x12);
-    rig.a_.advance_frame(make_input(pa, 0));
-    rig.b_.advance_frame(make_input(0, pb));
+    rig.a_.advance_frame(make_input(pa, 0), rig.now_);
+    rig.b_.advance_frame(make_input(0, pb), rig.now_);
     rig.flush();
   }
   rig.drain(kFrames);
@@ -303,7 +303,7 @@ TEST(RollbackSessionTest, FrameMispredictedTwiceCountsOnce) {
   auto game = games::make_cellwars();
   RollbackSession s(0, *game, cfg);
   constexpr FrameNo kFrames = 6;
-  for (FrameNo f = 0; f < kFrames; ++f) s.advance_frame(0);  // remote held at 0
+  for (FrameNo f = 0; f < kFrames; ++f) s.advance_frame(0, 0);  // remote held at 0
   ASSERT_EQ(s.rollback_stats().predicted_frames, static_cast<std::uint64_t>(kFrames));
 
   // Frame 1's actual remote input differs: frames 1..5 re-run (2..5 now
@@ -342,8 +342,8 @@ TEST(RollbackSessionTest, SlaveFinishingAfterMasterSettlesWithoutItsDelayedInput
   for (FrameNo f = 0; f < kFrames - 2; ++f) rig.step(0x11, 0x12);
   // The master runs ahead, finishes, and stays a lame duck (the slave
   // keeps acking) until its tail is settled; then it leaves.
-  rig.a_.advance_frame(make_input(0x11, 0));
-  rig.a_.advance_frame(make_input(0x11, 0));
+  rig.a_.advance_frame(make_input(0x11, 0), rig.now_);
+  rig.a_.advance_frame(make_input(0x11, 0), rig.now_);
   for (int i = 0; i < 100 && !(rig.a_.confirmed_frames() == kFrames &&
                                rig.a_.tail_settled(kLast)); ++i) {
     rig.now_ += milliseconds(16);
@@ -357,14 +357,41 @@ TEST(RollbackSessionTest, SlaveFinishingAfterMasterSettlesWithoutItsDelayedInput
   rig.to_a_.clear();
   // The slave finishes alone: its inputs for frames kFrames, kFrames+1
   // go out but nobody acks them.
-  rig.b_.advance_frame(make_input(0, 0x12));
-  rig.b_.advance_frame(make_input(0, 0x12));
+  rig.b_.advance_frame(make_input(0, 0x12), rig.now_);
+  rig.b_.advance_frame(make_input(0, 0x12), rig.now_);
   (void)rig.b_.make_message(rig.now_);  // sent, but nobody is listening
   rig.b_.reconcile();
   EXPECT_EQ(rig.b_.confirmed_frames(), kFrames);
   EXPECT_TRUE(rig.b_.tail_settled(kLast)) << "slave would idle out the grace period";
   EXPECT_FALSE(rig.b_.tail_settled(kLast + rig.cfg_.rollback_input_delay))
       << "test is vacuous unless inputs past the last frame stay unacked";
+}
+
+TEST(RollbackSessionTest, InputAgeMovesTheObservationBackByExactlyTheStamp) {
+  SyncConfig cfg = rollback_cfg(/*delay=*/2);
+  cfg.max_inputs_per_message = 2;
+  auto game_a = games::make_cellwars();
+  auto game_b = games::make_cellwars();
+  RollbackSession master(0, *game_a, cfg);
+  RollbackSession slave(1, *game_b, cfg);
+  master.advance_frame(make_input(1, 0), milliseconds(100));  // input for frame 2
+  const auto m = master.make_message(milliseconds(109));
+  ASSERT_TRUE(m);
+  EXPECT_EQ(m->last_frame(), 2);
+  EXPECT_EQ(m->input_age_us, 9'000);
+  slave.ingest(*m, milliseconds(130));
+  EXPECT_EQ(slave.remote_obs().last_rcv_frame, 2);
+  EXPECT_EQ(slave.remote_obs().rcv_time, milliseconds(121));
+
+  // Window-capped: frames 2..3 go out, the newest (4) does not.
+  master.advance_frame(0, milliseconds(116));
+  master.advance_frame(0, milliseconds(133));
+  const auto capped = master.make_message(milliseconds(140));
+  ASSERT_TRUE(capped);
+  EXPECT_EQ(capped->last_frame(), 3);
+  EXPECT_EQ(capped->input_age_us, kNoInputAge);
+  slave.ingest(*capped, milliseconds(160));
+  EXPECT_EQ(slave.remote_obs().rcv_time, milliseconds(160));
 }
 
 TEST(RollbackSessionTest, WindowClampGuaranteesRoomOverInputDelay) {
@@ -378,7 +405,7 @@ TEST(RollbackSessionTest, WindowClampGuaranteesRoomOverInputDelay) {
   // Sever the network entirely; advance to the bound.
   int steps = 0;
   while (s.can_advance() && steps < 200) {
-    s.advance_frame(0);
+    s.advance_frame(0, 0);
     ++steps;
   }
   ASSERT_LT(steps, 200);

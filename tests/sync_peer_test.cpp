@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <deque>
+#include <limits>
 #include <map>
 #include <vector>
 
@@ -16,6 +17,10 @@
 
 namespace rtct::core {
 namespace {
+
+// Frame-start time for submit_local wherever a test does not read the
+// input-age stamp.
+constexpr Time kT0 = 0;
 
 SyncConfig test_config() {
   SyncConfig cfg;  // paper defaults: 60 FPS, BufFrame=6, flush 20 ms
@@ -29,11 +34,11 @@ TEST(SyncPeerTest, FirstBufFrameFramesAreTriviallyReady) {
   // satisfied and empty inputs are returned".
   SyncPeer peer(0, test_config());
   for (FrameNo f = 0; f < 6; ++f) {
-    peer.submit_local(f, make_input(0xFF, 0));
+    peer.submit_local(f, make_input(0xFF, 0), kT0);
     ASSERT_TRUE(peer.ready()) << "frame " << f;
     EXPECT_EQ(peer.pop(), 0) << "frame " << f;  // empty input
   }
-  peer.submit_local(6, make_input(1, 0));
+  peer.submit_local(6, make_input(1, 0), kT0);
   EXPECT_FALSE(peer.ready());  // frame 6 needs the remote partial input
 }
 
@@ -43,8 +48,8 @@ TEST(SyncPeerTest, LocalInputAppliesAfterLocalLag) {
   // Run lockstep with a perfect instant channel.
   std::vector<InputWord> delivered_a;
   for (FrameNo f = 0; f < 20; ++f) {
-    a.submit_local(f, make_input(static_cast<std::uint8_t>(f + 1), 0));
-    b.submit_local(f, make_input(0, static_cast<std::uint8_t>(f + 101)));
+    a.submit_local(f, make_input(static_cast<std::uint8_t>(f + 1), 0), kT0);
+    b.submit_local(f, make_input(0, static_cast<std::uint8_t>(f + 101)), kT0);
     if (auto m = a.make_message(f)) b.ingest(*m, f);
     if (auto m = b.make_message(f)) a.ingest(*m, f);
     ASSERT_TRUE(a.ready());
@@ -64,7 +69,7 @@ TEST(SyncPeerTest, LocalInputAppliesAfterLocalLag) {
 
 TEST(SyncPeerTest, NotReadyUntilRemoteArrives) {
   SyncPeer a(0, test_config());
-  for (FrameNo f = 0; f < 10; ++f) a.submit_local(f, 0);
+  for (FrameNo f = 0; f < 10; ++f) a.submit_local(f, 0, kT0);
   for (FrameNo f = 0; f < 6; ++f) (void)a.pop();
   EXPECT_FALSE(a.ready());  // pointer at 6, no remote input ever
   EXPECT_EQ(a.pointer(), 6);
@@ -72,7 +77,9 @@ TEST(SyncPeerTest, NotReadyUntilRemoteArrives) {
 
 TEST(SyncPeerTest, MakeMessageCarriesUnackedWindow) {
   SyncPeer a(0, test_config());
-  for (FrameNo f = 0; f < 3; ++f) a.submit_local(f, make_input(static_cast<std::uint8_t>(f), 0));
+  for (FrameNo f = 0; f < 3; ++f) {
+    a.submit_local(f, make_input(static_cast<std::uint8_t>(f), 0), kT0);
+  }
   const auto m = a.make_message(0);
   ASSERT_TRUE(m.has_value());
   EXPECT_EQ(m->first_frame, 6);       // LastAckFrame(5) + 1
@@ -91,7 +98,7 @@ TEST(SyncPeerTest, UnackedInputsAreResentEveryFlush) {
   // The go-back-N behaviour of lines 7-11: without an ack, consecutive
   // messages re-carry the same window.
   SyncPeer a(0, test_config());
-  a.submit_local(0, make_input(9, 0));
+  a.submit_local(0, make_input(9, 0), kT0);
   const auto m1 = a.make_message(0);
   const auto m2 = a.make_message(milliseconds(20));
   ASSERT_TRUE(m1 && m2);
@@ -103,7 +110,7 @@ TEST(SyncPeerTest, UnackedInputsAreResentEveryFlush) {
 TEST(SyncPeerTest, AckShrinksTheWindow) {
   SyncPeer a(0, test_config());
   SyncPeer b(1, test_config());
-  for (FrameNo f = 0; f < 4; ++f) a.submit_local(f, 0);
+  for (FrameNo f = 0; f < 4; ++f) a.submit_local(f, 0, kT0);
   const auto m = a.make_message(0);
   ASSERT_TRUE(m);
   b.ingest(*m, 0);
@@ -112,7 +119,7 @@ TEST(SyncPeerTest, AckShrinksTheWindow) {
   EXPECT_EQ(ack->ack_frame, 9);
   a.ingest(*ack, 1);
   EXPECT_EQ(a.last_ack_frame(), 9);
-  a.submit_local(4, make_input(5, 0));
+  a.submit_local(4, make_input(5, 0), kT0);
   const auto m2 = a.make_message(2);
   ASSERT_TRUE(m2);
   EXPECT_EQ(m2->first_frame, 10);  // only the new frame
@@ -122,7 +129,7 @@ TEST(SyncPeerTest, AckShrinksTheWindow) {
 TEST(SyncPeerTest, PureAckWhenNothingToSend) {
   SyncPeer a(0, test_config());
   SyncPeer b(1, test_config());
-  b.submit_local(0, make_input(0, 3));
+  b.submit_local(0, make_input(0, 3), kT0);
   a.ingest(*b.make_message(0), 0);
   // a has nothing local to send but owes an ack.
   const auto m = a.make_message(1);
@@ -136,7 +143,7 @@ TEST(SyncPeerTest, PureAckWhenNothingToSend) {
 TEST(SyncPeerTest, DuplicateIngestIsIdempotent) {
   SyncPeer a(0, test_config());
   SyncPeer b(1, test_config());
-  a.submit_local(0, make_input(0x42, 0));
+  a.submit_local(0, make_input(0x42, 0), kT0);
   const auto m = a.make_message(0);
   ASSERT_TRUE(m);
   b.ingest(*m, 0);
@@ -149,9 +156,9 @@ TEST(SyncPeerTest, DuplicateIngestIsIdempotent) {
 TEST(SyncPeerTest, ReorderedOldMessageDoesNotRegress) {
   SyncPeer a(0, test_config());
   SyncPeer b(1, test_config());
-  a.submit_local(0, make_input(1, 0));
+  a.submit_local(0, make_input(1, 0), kT0);
   const auto old_msg = a.make_message(0);
-  a.submit_local(1, make_input(2, 0));
+  a.submit_local(1, make_input(2, 0), kT0);
   const auto new_msg = a.make_message(milliseconds(20));
   ASSERT_TRUE(old_msg && new_msg);
   b.ingest(*new_msg, 0);
@@ -175,7 +182,7 @@ TEST(SyncPeerTest, WindowCapRespected) {
   SyncConfig cfg = test_config();
   cfg.max_inputs_per_message = 10;
   SyncPeer a(0, cfg);
-  for (FrameNo f = 0; f < 50; ++f) a.submit_local(f, 0);
+  for (FrameNo f = 0; f < 50; ++f) a.submit_local(f, 0, kT0);
   const auto m = a.make_message(0);
   ASSERT_TRUE(m);
   EXPECT_EQ(m->inputs.size(), 10u);
@@ -187,8 +194,8 @@ TEST(SyncPeerTest, RttEstimateFromEchoes) {
   const Dur owd = milliseconds(30);
   Time now = 0;
   for (FrameNo f = 0; f < 30; ++f) {
-    a.submit_local(f, 0);
-    b.submit_local(f, 0);
+    a.submit_local(f, 0, kT0);
+    b.submit_local(f, 0, kT0);
     if (auto m = a.make_message(now)) b.ingest(*m, now + owd);
     if (auto m = b.make_message(now)) a.ingest(*m, now + owd);
     now += milliseconds(20);
@@ -202,12 +209,67 @@ TEST(SyncPeerTest, RemoteObsTracksMasterProgress) {
   SyncPeer slave(1, test_config());
   EXPECT_FALSE(slave.remote_obs().valid);
   SyncPeer master(0, test_config());
-  master.submit_local(0, 0);
+  master.submit_local(0, 0, kT0);
   slave.ingest(*master.make_message(0), milliseconds(33));
   const auto obs = slave.remote_obs();
   EXPECT_TRUE(obs.valid);
   EXPECT_EQ(obs.last_rcv_frame, 6);  // includes local lag
   EXPECT_EQ(obs.rcv_time, milliseconds(33));
+}
+
+// Algorithm 4 read MasterRcvTime - RTT/2 as the start of the master's frame,
+// but that is when the *flush* carrying its input left, up to a flush period
+// after the frame began. The message now carries the input's age, and the
+// observation moves back by exactly that much.
+TEST(SyncPeerTest, InputAgeMovesTheObservationBackByExactlyTheStamp) {
+  SyncPeer master(0, test_config());
+  SyncPeer slave(1, test_config());
+  master.submit_local(0, make_input(1, 0), milliseconds(100));
+  const auto m = master.make_message(milliseconds(100) + microseconds(13'750));
+  ASSERT_TRUE(m);
+  EXPECT_EQ(m->input_age_us, 13'750);
+  slave.ingest(*m, milliseconds(150));
+  EXPECT_EQ(slave.remote_obs().last_rcv_frame, 6);
+  EXPECT_EQ(slave.remote_obs().rcv_time, milliseconds(150) - microseconds(13'750));
+
+  // Ack-only: nothing to stamp, and the observation does not move.
+  slave.submit_local(0, 0, milliseconds(100));
+  master.ingest(*slave.make_message(milliseconds(150)), milliseconds(160));
+  const auto ack = master.make_message(milliseconds(170));
+  ASSERT_TRUE(ack);
+  EXPECT_TRUE(ack->inputs.empty());
+  EXPECT_EQ(ack->input_age_us, kNoInputAge);
+}
+
+TEST(SyncPeerTest, WindowCappedMessageCarriesNoInputAge) {
+  SyncConfig cfg = test_config();
+  cfg.max_inputs_per_message = 2;
+  SyncPeer master(0, cfg);
+  SyncPeer slave(1, cfg);
+  for (FrameNo f = 0; f < 4; ++f) master.submit_local(f, 0, milliseconds(16) * f);
+  // Frames 6..7 go out; the newest input (9) does not, so its age says
+  // nothing about them and the observation keeps the arrival time.
+  const auto m = master.make_message(milliseconds(60));
+  ASSERT_TRUE(m);
+  EXPECT_EQ(m->last_frame(), 7);
+  EXPECT_EQ(m->input_age_us, kNoInputAge);
+  slave.ingest(*m, milliseconds(80));
+  EXPECT_EQ(slave.remote_obs().rcv_time, milliseconds(80));
+}
+
+TEST(SyncPeerTest, ForgedEchoFromTheFutureGivesNoRttSample) {
+  // Regression (found by the ingest fuzzer under UBSan): the decoder admits
+  // any non-negative echo_time and echo_hold, and recv - echo - hold
+  // overflowed int64 into a huge positive "RTT" sample.
+  SyncPeer a(0, test_config());
+  SyncMsg m;
+  m.site = 1;
+  m.ack_frame = 5;
+  m.first_frame = 6;
+  m.echo_time = std::numeric_limits<Time>::max() - 5;
+  m.echo_hold = std::numeric_limits<Dur>::max() / 2;
+  a.ingest(m, milliseconds(1));
+  EXPECT_FALSE(a.has_rtt_sample());
 }
 
 TEST(SyncPeerTest, ZeroRttLoopbackIsARealSample) {
@@ -219,8 +281,8 @@ TEST(SyncPeerTest, ZeroRttLoopbackIsARealSample) {
   EXPECT_FALSE(a.has_rtt_sample());
   Time now = 0;
   for (FrameNo f = 0; f < 10; ++f) {
-    a.submit_local(f, 0);
-    b.submit_local(f, 0);
+    a.submit_local(f, 0, kT0);
+    b.submit_local(f, 0, kT0);
     if (auto m = a.make_message(now)) b.ingest(*m, now);  // zero delay
     if (auto m = b.make_message(now)) a.ingest(*m, now);
     now += milliseconds(20);
@@ -237,13 +299,13 @@ TEST(SyncPeerTest, ZeroRttDoesNotReseedTheEstimator) {
   // not adopted outright.
   SyncPeer a(0, test_config());
   SyncPeer b(1, test_config());
-  a.submit_local(0, 0);
+  a.submit_local(0, 0, kT0);
   b.ingest(*a.make_message(0), 0);
   a.ingest(*b.make_message(0), 0);  // echo round-trip: 0 ns sample
   ASSERT_TRUE(a.has_rtt_sample());
   ASSERT_EQ(a.rtt(), 0);
   // Second round-trip suddenly takes 40 ms.
-  a.submit_local(1, 0);
+  a.submit_local(1, 0, kT0);
   b.ingest(*a.make_message(milliseconds(20)), milliseconds(20));
   a.ingest(*b.make_message(milliseconds(20)), milliseconds(60));
   EXPECT_EQ(a.stats().rtt_samples, 2u);
@@ -262,7 +324,7 @@ SyncConfig adaptive_config(int redundancy = 0) {
 
 TEST(SyncPeerAdaptiveTest, NoBlindResendBeforeRtoFires) {
   SyncPeer a(0, adaptive_config());
-  a.submit_local(0, make_input(7, 0));
+  a.submit_local(0, make_input(7, 0), kT0);
   const auto m1 = a.make_message(0);
   ASSERT_TRUE(m1);
   EXPECT_EQ(m1->inputs.size(), 1u);
@@ -276,7 +338,7 @@ TEST(SyncPeerAdaptiveTest, NoBlindResendBeforeRtoFires) {
 
 TEST(SyncPeerAdaptiveTest, RtoFireResendsWindowAndBacksOff) {
   SyncPeer a(0, adaptive_config());
-  a.submit_local(0, make_input(7, 0));
+  a.submit_local(0, make_input(7, 0), kT0);
   ASSERT_TRUE(a.make_message(0).has_value());  // arms the timer (RTO 100 ms)
   const auto r1 = a.make_message(milliseconds(100));
   ASSERT_TRUE(r1.has_value());  // timer fired: full window resend
@@ -293,7 +355,7 @@ TEST(SyncPeerAdaptiveTest, RtoFireResendsWindowAndBacksOff) {
 TEST(SyncPeerAdaptiveTest, AckProgressResetsBackoff) {
   SyncPeer a(0, adaptive_config());
   SyncPeer b(1, adaptive_config());
-  a.submit_local(0, make_input(7, 0));
+  a.submit_local(0, make_input(7, 0), kT0);
   ASSERT_TRUE(a.make_message(0).has_value());
   ASSERT_TRUE(a.make_message(milliseconds(100)).has_value());  // RTO fire #1
   EXPECT_EQ(a.current_rto(), milliseconds(200));               // backed off 2x
@@ -310,14 +372,16 @@ TEST(SyncPeerAdaptiveTest, RedundantTailRecarriesLastKFlushes) {
   // re-carried K times (a newest-K-entries tail could never refill a
   // lost burst and would stall out a full RTO).
   SyncPeer a(0, adaptive_config(/*redundancy=*/2));
-  for (FrameNo f = 0; f < 3; ++f) a.submit_local(f, make_input(static_cast<std::uint8_t>(f), 0));
+  for (FrameNo f = 0; f < 3; ++f) {
+    a.submit_local(f, make_input(static_cast<std::uint8_t>(f), 0), kT0);
+  }
   const auto m1 = a.make_message(0);
   ASSERT_TRUE(m1);
   EXPECT_EQ(m1->inputs.size(), 3u);  // frames 6..8, all new
   EXPECT_EQ(a.stats().redundant_inputs_sent, 0u);
   // Next flush: the 3-input burst from flush 1 is still inside the
   // 2-flush protection window and is re-carried whole with the new input.
-  a.submit_local(3, make_input(3, 0));
+  a.submit_local(3, make_input(3, 0), kT0);
   const auto m2 = a.make_message(milliseconds(20));
   ASSERT_TRUE(m2);
   EXPECT_EQ(m2->first_frame, 6);
@@ -326,13 +390,13 @@ TEST(SyncPeerAdaptiveTest, RedundantTailRecarriesLastKFlushes) {
   EXPECT_EQ(a.stats().inputs_retransmitted, 3u);
   // Third flush: the burst is still covered (sent at flush 1, re-sent at
   // flushes 2 and 3 = K re-sends)...
-  a.submit_local(4, make_input(4, 0));
+  a.submit_local(4, make_input(4, 0), kT0);
   const auto m3 = a.make_message(milliseconds(40));
   ASSERT_TRUE(m3);
   EXPECT_EQ(m3->first_frame, 6);
   EXPECT_EQ(m3->inputs.size(), 5u);
   // ...and ages out of the tail on the fourth.
-  a.submit_local(5, make_input(5, 0));
+  a.submit_local(5, make_input(5, 0), kT0);
   const auto m4 = a.make_message(milliseconds(60));
   ASSERT_TRUE(m4);
   EXPECT_EQ(m4->first_frame, 9);  // flush-1 frames 6..8 no longer carried
@@ -343,10 +407,10 @@ TEST(SyncPeerAdaptiveTest, RedundancyTailNeverCrossesTheAck) {
   // Tail is clamped at the unacked boundary: acked inputs are never resent.
   SyncPeer a(0, adaptive_config(/*redundancy=*/4));
   SyncPeer b(1, adaptive_config(/*redundancy=*/4));
-  a.submit_local(0, 0);
+  a.submit_local(0, 0, kT0);
   b.ingest(*a.make_message(0), 0);
   a.ingest(*b.make_message(0), 0);  // acks frame 6
-  a.submit_local(1, make_input(1, 0));
+  a.submit_local(1, make_input(1, 0), kT0);
   const auto m = a.make_message(milliseconds(20));
   ASSERT_TRUE(m);
   EXPECT_EQ(m->first_frame, 7);  // tail cannot reach the acked frame 6
@@ -361,7 +425,7 @@ TEST(SyncPeerTest, SetBufFramesReinitializesTheWindow) {
   EXPECT_EQ(a.config().buf_frames, 12);
   EXPECT_EQ(a.last_ack_frame(), 11);
   for (FrameNo f = 0; f < 12; ++f) {
-    a.submit_local(f, make_input(0xFF, 0));
+    a.submit_local(f, make_input(0xFF, 0), kT0);
     ASSERT_TRUE(a.ready()) << "frame " << f;
     EXPECT_EQ(a.pop(), 0);
   }
@@ -370,13 +434,13 @@ TEST(SyncPeerTest, SetBufFramesReinitializesTheWindow) {
 
 TEST(SyncPeerTest, SetBufFramesRefusedOnceProtocolMoved) {
   SyncPeer a(0, test_config());
-  a.submit_local(0, make_input(1, 0));
+  a.submit_local(0, make_input(1, 0), kT0);
   EXPECT_FALSE(a.set_buf_frames(12));  // local input already buffered
   EXPECT_EQ(a.config().buf_frames, test_config().buf_frames);
 
   SyncPeer b(1, test_config());
   SyncPeer c(0, test_config());
-  c.submit_local(0, 0);
+  c.submit_local(0, 0, kT0);
   b.ingest(*c.make_message(0), 0);
   EXPECT_FALSE(b.set_buf_frames(12));  // remote input already merged
 
@@ -394,7 +458,7 @@ TEST(SyncPeerDesyncTest, AgreementKeepsQuiet) {
     a.note_state_hash(f, 1000 + static_cast<std::uint64_t>(f));
     b.note_state_hash(f, 1000 + static_cast<std::uint64_t>(f));
   }
-  a.submit_local(120, 0);
+  a.submit_local(120, 0, kT0);
   b.ingest(*a.make_message(0), 0);
   EXPECT_FALSE(b.desync_detected());
 }
@@ -404,7 +468,7 @@ TEST(SyncPeerDesyncTest, MismatchFlagsWhenReceiverIsAhead) {
   SyncPeer b(1, test_config());
   a.note_state_hash(60, 0xAAAA);
   b.note_state_hash(60, 0xBBBB);  // b already executed frame 60 differently
-  a.submit_local(0, 0);
+  a.submit_local(0, 0, kT0);
   b.ingest(*a.make_message(0), 0);
   EXPECT_TRUE(b.desync_detected());
   EXPECT_EQ(b.desync_frame(), 60);
@@ -414,7 +478,7 @@ TEST(SyncPeerDesyncTest, MismatchFlagsWhenReceiverIsBehind) {
   SyncPeer a(0, test_config());
   SyncPeer b(1, test_config());
   a.note_state_hash(60, 0xAAAA);
-  a.submit_local(0, 0);
+  a.submit_local(0, 0, kT0);
   b.ingest(*a.make_message(0), 0);  // b has not reached frame 60 yet
   EXPECT_FALSE(b.desync_detected());
   b.note_state_hash(60, 0xBBBB);  // now it gets there, with a different hash
@@ -427,7 +491,7 @@ TEST(SyncPeerDesyncTest, OnlyIntervalFramesAreHashed) {
   cfg.hash_interval = 60;
   SyncPeer a(0, cfg);
   a.note_state_hash(59, 0x1);  // not an interval frame: ignored
-  a.submit_local(0, 0);
+  a.submit_local(0, 0, kT0);
   const auto m = a.make_message(0);
   ASSERT_TRUE(m);
   EXPECT_EQ(m->hash_frame, -1);
@@ -445,7 +509,7 @@ TEST(SyncPeerDesyncTest, DisabledByZeroInterval) {
   SyncPeer b(1, cfg);
   a.note_state_hash(60, 0xAAAA);
   b.note_state_hash(60, 0xBBBB);
-  a.submit_local(0, 0);
+  a.submit_local(0, 0, kT0);
   b.ingest(*a.make_message(0), 0);
   EXPECT_FALSE(b.desync_detected());
 }
@@ -538,7 +602,8 @@ TEST_P(SyncPeerPropertyTest, LockstepInvariantUnderHostileNetwork) {
       if (submitted[s] < kFrames && peer.pointer() == submitted[s]) {
         peer.submit_local(submitted[s],
                           s == 0 ? make_input(script[0][submitted[s]], 0)
-                                 : make_input(0, script[1][submitted[s]]));
+                                 : make_input(0, script[1][submitted[s]]),
+                          now);
         ++submitted[s];
       }
       if (delivered[s].size() < kFrames && peer.ready() &&

@@ -18,6 +18,7 @@ TEST(WireTest, SyncMsgRoundTrip) {
   m.send_time = milliseconds(4567);
   m.echo_time = milliseconds(4500);
   m.echo_hold = milliseconds(3);
+  m.input_age_us = 12'345;
 
   const auto bytes = encode_message(Message{m});
   const auto decoded = decode_message(bytes);
@@ -32,6 +33,56 @@ TEST(WireTest, SyncMsgRoundTrip) {
   EXPECT_EQ(out->send_time, m.send_time);
   EXPECT_EQ(out->echo_time, m.echo_time);
   EXPECT_EQ(out->echo_hold, m.echo_hold);
+  EXPECT_EQ(out->input_age_us, 12'345);
+}
+
+TEST(WireTest, SyncMsgV4Layout) {
+  // v4: one-byte site (v3: four) plus a two-byte input age, so a SYNC
+  // costs one byte less than before: 64 B + 2 per input.
+  SyncMsg m;
+  m.site = 7;  // the highest site InputBuffer holds
+  m.inputs = {1, 2, 3};
+  const auto bytes = encode_message(Message{m});
+  EXPECT_EQ(bytes.size(), 64u + 2 * 3);
+  const auto decoded = decode_message(bytes);
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_EQ(std::get<SyncMsg>(*decoded).site, 7);
+  // Unstamped by default: the sentinel survives the round trip.
+  EXPECT_EQ(std::get<SyncMsg>(*decoded).input_age_us, kNoInputAge);
+  // The largest age is a value, not the sentinel.
+  m.input_age_us = kMaxInputAge;
+  EXPECT_EQ(std::get<SyncMsg>(*decode_message(encode_message(Message{m}))).input_age_us,
+            kMaxInputAge);
+  m.site = 8;  // past InputBuffer::kMaxSites
+  EXPECT_FALSE(decode_message(encode_message(Message{m})).has_value());
+}
+
+TEST(WireTest, InputAgeStampsOnlyTheNewestInputAndSaturates) {
+  SyncMsg m;
+  m.first_frame = 10;
+  m.inputs = {1, 2, 3};  // frames 10..12
+  const Time start = milliseconds(100);
+  stamp_input_age(m, 12, start, start + microseconds(7'250));
+  EXPECT_EQ(m.input_age_us, 7'250);
+
+  SyncMsg capped = m;  // the window stops short of the newest input (13)
+  capped.input_age_us = kNoInputAge;
+  stamp_input_age(capped, 13, start, start + milliseconds(5));
+  EXPECT_EQ(capped.input_age_us, kNoInputAge);
+
+  SyncMsg ack_only;
+  stamp_input_age(ack_only, 12, start, start + milliseconds(5));
+  EXPECT_EQ(ack_only.input_age_us, kNoInputAge);
+
+  SyncMsg old = m;  // 70 ms does not fit in u16 µs: saturate, never wrap
+  stamp_input_age(old, 12, start, start + milliseconds(70));
+  EXPECT_EQ(old.input_age_us, kMaxInputAge);
+
+  // Receiver: only a watermark that lands on the stamped input moves back.
+  const Time recv = milliseconds(200);
+  EXPECT_EQ(observed_input_time(m, 12, recv), recv - microseconds(7'250));
+  EXPECT_EQ(observed_input_time(m, 11, recv), recv);
+  EXPECT_EQ(observed_input_time(capped, 12, recv), recv);
 }
 
 TEST(WireTest, EmptyInputsSyncMsgIsPureAck) {
@@ -245,7 +296,7 @@ TEST(WireTest, AbsurdInputCountRejected) {
   // Hand-craft a sync header claiming 2^31 inputs; must fail fast, not OOM.
   ByteWriter w;
   w.u8(3);  // kSync
-  w.i32(0);
+  w.u8(0);
   w.i64(0);
   w.i64(0);
   w.u32(0x80000000u);
@@ -260,9 +311,9 @@ TEST(WireTest, ForgedCountBeyondPayloadRejected) {
   // before the bounds check failed. The count must be validated against
   // the bytes actually present first.
   {
-    ByteWriter w;  // 16-byte kSync datagram claiming 4096 inputs
+    ByteWriter w;  // 22-byte kSync datagram claiming 4096 inputs
     w.u8(3);       // kSync
-    w.i32(1);      // site
+    w.u8(1);       // site
     w.i64(0);      // ack_frame
     w.i64(0);      // first_frame
     w.u32(4096);   // forged count, zero payload behind it
